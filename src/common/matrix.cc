@@ -244,50 +244,66 @@ Matrix::choleskyInverseInto(Matrix &out, std::vector<double> &lscratch)
     bp_assert(rows_ == cols_, "choleskyInverse requires square matrix");
     const std::size_t n = rows_;
 
-    // lscratch holds L (first n*n) and L^-1 (second n*n).
-    lscratch.assign(2 * n * n, 0.0);
+    // lscratch holds L twice: row-major in the lower triangle (row i
+    // of L is contiguous for the factorization's dot products) and
+    // transposed in the upper triangle (column i of L is contiguous
+    // for the inverse).  Entries outside the envelope stay zero.
+    lscratch.assign(n * n, 0.0);
     double *L = lscratch.data();
-    double *Linv = lscratch.data() + n * n;
 
-    // Factorize A = L L^T once (raw pointers: operator()'s bounds
-    // assert would dominate these O(n^3) loops).
+    // Envelope Cholesky A = L L^T (raw pointers: operator()'s bounds
+    // assert would dominate these loops).  Row i of L is zero left of
+    // the first nonzero of row i of A, so each row is factored over
+    // its envelope only: O(n w^2) for envelope width w, and a dense
+    // matrix is simply w = n.
     const double *a = data_.data();
     for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            double s = a[i * n + j];
-            for (std::size_t k = 0; k < j; ++k)
-                s -= L[i * n + k] * L[j * n + k];
+        const double *ai = a + i * n;
+        std::size_t first = 0;
+        while (first < i && ai[first] == 0.0)
+            ++first;
+        double *li = L + i * n;
+        for (std::size_t j = first; j <= i; ++j) {
+            const double *lj = L + j * n;
+            double s = ai[j];
+            for (std::size_t k = first; k < j; ++k)
+                s -= li[k] * lj[k];
             if (i == j) {
                 bp_assert(s > 0.0, "matrix not positive definite");
-                L[i * n + i] = std::sqrt(s);
+                li[i] = std::sqrt(s);
             } else {
-                L[i * n + j] = s / L[j * n + j];
+                li[j] = s / lj[j];
+                L[j * n + i] = li[j];
             }
         }
     }
 
-    // Invert L (lower triangular inverse).
-    for (std::size_t i = 0; i < n; ++i) {
-        Linv[i * n + i] = 1.0 / L[i * n + i];
-        for (std::size_t j = 0; j < i; ++j) {
-            double s = 0.0;
-            for (std::size_t k = j; k < i; ++k)
-                s += L[i * n + k] * Linv[k * n + j];
-            Linv[i * n + j] = -s / L[i * n + i];
-        }
-    }
-
-    // A^-1 = Linv^T Linv.
+    // Takahashi recurrence L^T A^-1 = L^-1, bottom row up: the part of
+    // row i right of the diagonal needs only column i of L (at most w
+    // nonzeros) and the rows below, so the whole inverse costs
+    // O(n^2 w).  Each finished row is mirrored into its column, which
+    // completes the rows below for the rows still to come.
     out.reset(n, n, 0.0);
     double *o = out.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            double s = 0.0;
-            for (std::size_t k = std::max(i, j); k < n; ++k)
-                s += Linv[k * n + i] * Linv[k * n + j];
-            o[i * n + j] = s;
-            o[j * n + i] = s;
+    for (std::size_t i = n; i-- > 0;) {
+        double *oi = o + i * n;
+        const double *lcol = L + i * n; // lcol[k] = L(k, i) for k > i
+        for (std::size_t k = i + 1; k < n; ++k) {
+            const double l = lcol[k];
+            if (l == 0.0)
+                continue;
+            const double *ok = o + k * n;
+            for (std::size_t j = i + 1; j < n; ++j)
+                oi[j] -= l * ok[j];
         }
+        const double inv_d = 1.0 / lcol[i];
+        double s = inv_d;
+        for (std::size_t k = i + 1; k < n; ++k) {
+            oi[k] *= inv_d;
+            s -= lcol[k] * oi[k];
+            o[k * n + i] = oi[k];
+        }
+        oi[i] = s * inv_d;
     }
 }
 

@@ -78,15 +78,18 @@ class Matrix
     Matrix inverse() const;
 
     /**
-     * Inverse of a symmetric positive-definite matrix via a single
-     * Cholesky factorization (O(n^3) total, unlike column-by-column
-     * solves).  Dies if the matrix is not SPD within tolerance.
+     * Inverse of a symmetric positive-definite matrix via one envelope
+     * Cholesky factorization: each row is factored from its first
+     * nonzero on, and the inverse follows from the Takahashi recurrence
+     * L^T A^-1 = L^-1.  O(n w^2 + n^2 w) for envelope width w (w = n
+     * for a dense matrix).  Dies if the matrix is not SPD within
+     * tolerance.
      */
     Matrix choleskyInverse() const;
 
     /**
      * choleskyInverse() writing into `out`, with the factorization
-     * scratch kept in `lscratch` (two n*n buffers).  Allocation-free
+     * scratch kept in `lscratch` (one n*n buffer).  Allocation-free
      * when out and lscratch already have the capacity for n*n.
      */
     void choleskyInverseInto(Matrix &out, std::vector<double> &lscratch)

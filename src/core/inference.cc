@@ -347,6 +347,8 @@ WindowedInference::runWindow(std::size_t w_len)
         auto &registry = telemetry::MetricsRegistry::global();
         static telemetry::Counter &ep_windows =
             registry.counter("ep.windows");
+        static telemetry::Counter &ep_unconverged =
+            registry.counter("ep.unconverged_windows");
         static telemetry::Counter &ep_sweeps =
             registry.counter("ep.sweeps");
         static telemetry::Counter &ep_workspace_allocs =
@@ -354,6 +356,8 @@ WindowedInference::runWindow(std::size_t w_len)
         static telemetry::Histogram &ep_window_ns =
             registry.histogram("ep.window_ns");
         ep_windows.add();
+        if (!ep_result.converged)
+            ep_unconverged.add();
         ep_sweeps.add(ep_result.sweeps);
         ep_workspace_allocs.add(epWorkspace_.totalAllocations() -
                                 ws_allocs_before);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cpu_features.h"
 #include "common/logging.h"
 #include "core/quad_poly.h"
 
@@ -74,9 +75,7 @@ QuadKernelFn
 activeQuadKernel()
 {
 #if defined(BPERF_SIMD) && defined(__x86_64__)
-    static const bool have_avx2 = __builtin_cpu_supports("avx2") &&
-                                  __builtin_cpu_supports("fma");
-    if (have_avx2)
+    if (cpuHasAvx2Fma())
         return quadMomentsAvx2;
 #endif
 #if defined(BPERF_SIMD) && defined(__aarch64__)

@@ -82,7 +82,7 @@ GaussianSolver::solveInto(const std::vector<Gaussian> &sites,
 
     if (scratch.J.capacity() < n * n ||
         joint.covariance.capacity() < n * n ||
-        scratch.chol.capacity() < 2 * n * n ||
+        scratch.chol.capacity() < n * n ||
         scratch.h.capacity() < n || joint.mean.capacity() < n)
         ++scratch.grows;
 
@@ -268,24 +268,11 @@ BlockedJointUpdater::flush()
 {
     if (pending_ == 0)
         return;
-    double *cov = joint_->covariance.data();
-    const double *W = scratch_->blockW.data();
-    const double *C = scratch_->blockC.data();
     // One pass over the lower triangle applying all pending outer
-    // products: the row stays cache-resident across the k inner
-    // sweeps, so main-memory traffic is one triangle read+write per
-    // flush instead of per update.
-    for (std::size_t r = 0; r < n_; ++r) {
-        double *row = cov + r * n_;
-        for (std::size_t i = 0; i < pending_; ++i) {
-            const double *wi = W + i * n_;
-            const double a = C[i] * wi[r];
-            if (a == 0.0)
-                continue;
-            for (std::size_t k = 0; k <= r; ++k)
-                row[k] -= a * wi[k];
-        }
-    }
+    // products (flush_kernel.h).
+    activeFlushKernel()(joint_->covariance.data(), n_,
+                        scratch_->blockW.data(), scratch_->blockC.data(),
+                        pending_);
     ++flushes_;
     pending_ = 0;
 }

@@ -28,6 +28,7 @@
 
 #include "common/matrix.h"
 #include "graph/factor_graph.h"
+#include "graph/flush_kernel.h"
 #include "graph/gaussian.h"
 
 namespace bperf {
@@ -162,8 +163,8 @@ class GaussianSolver
 class BlockedJointUpdater
 {
   public:
-    /** Largest supported block (bounds a stack buffer in flush). */
-    static constexpr std::size_t kMaxBlockSize = 64;
+    /** Largest supported block (bounds the flush kernels' buffers). */
+    static constexpr std::size_t kMaxBlockSize = kMaxFlushUpdates;
 
     BlockedJointUpdater(GaussianJoint &joint, SolverScratch &scratch,
                         std::size_t block_size);

@@ -2,10 +2,15 @@
 
 #include <cmath>
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
+#include "common/rng.h"
 #include "graph/exact.h"
 #include "graph/factor_graph.h"
+#include "graph/flush_kernel.h"
 #include "graph/gaussian.h"
 
 namespace bperf {
@@ -298,6 +303,80 @@ TEST(GaussianSolver, Rank1RefusesIllConditionedDowndate)
     // A huge precision *increase* is refused too (cancellation guard).
     EXPECT_FALSE(GaussianSolver::rank1SiteUpdate(
         joint, a, 1e9 / before, 0.0, scratch));
+}
+
+/** A random flush input: one zero coefficient and pending columns with
+ * zero entries, so both of the kernels' skip paths run. */
+struct FlushInput
+{
+    std::vector<double> cov, W, C;
+};
+
+FlushInput
+randomFlushInput(std::size_t n, Rng &rng)
+{
+    constexpr std::size_t kPending = 6;
+    FlushInput in{std::vector<double>(n * n),
+                  std::vector<double>(kPending * n),
+                  std::vector<double>(kPending)};
+    for (double &x : in.cov)
+        x = rng.normal();
+    for (double &x : in.W)
+        x = rng.normal();
+    for (double &x : in.C)
+        x = rng.normal();
+    in.C[2] = 0.0;
+    for (std::size_t r = 0; r < n; r += 3)
+        in.W[4 * n + r] = 0.0;
+    return in;
+}
+
+TEST(FlushKernel, Avx2BitIdenticalToScalar)
+{
+#if defined(BPERF_SIMD) && defined(__x86_64__)
+    if (!cpuHasAvx2Fma())
+        GTEST_SKIP() << "CPU without AVX2";
+    Rng rng(31);
+    // Sizes off the kernels' 4- and 16-element chunks.
+    for (std::size_t n : {1u, 7u, 37u, 50u}) {
+        const FlushInput in = randomFlushInput(n, rng);
+        std::vector<double> scalar = in.cov, simd = in.cov;
+        flushScalar(scalar.data(), n, in.W.data(), in.C.data(),
+                    in.C.size());
+        flushAvx2(simd.data(), n, in.W.data(), in.C.data(), in.C.size());
+        for (std::size_t i = 0; i < n * n; ++i)
+            EXPECT_EQ(simd[i], scalar[i]) << "n=" << n << " entry " << i;
+    }
+#else
+    GTEST_SKIP() << "AVX2 flush not compiled in";
+#endif
+}
+
+TEST(FlushKernel, ScalarMatchesOneUpdateAtATime)
+{
+#if defined(__x86_64__) && !defined(__FMA__)
+    // Baseline x86-64 has no FMA, so the reference loop below rounds
+    // each multiply and subtract separately, as the kernels do.
+    Rng rng(37);
+    for (std::size_t n : {1u, 7u, 37u}) {
+        const FlushInput in = randomFlushInput(n, rng);
+        std::vector<double> kernel = in.cov, reference = in.cov;
+        flushScalar(kernel.data(), n, in.W.data(), in.C.data(),
+                    in.C.size());
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t i = 0; i < in.C.size(); ++i) {
+                const double a = in.C[i] * in.W[i * n + r];
+                if (a == 0.0)
+                    continue;
+                for (std::size_t k = 0; k <= r; ++k)
+                    reference[r * n + k] -= a * in.W[i * n + k];
+            }
+        for (std::size_t i = 0; i < n * n; ++i)
+            EXPECT_EQ(kernel[i], reference[i]) << "n=" << n << " entry " << i;
+    }
+#else
+    GTEST_SKIP() << "this build may fuse the reference loop into FMAs";
+#endif
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "baselines/linux_scaling.h"
 #include "core/bayesperf.h"
 #include "core/model_builder.h"
+#include "telemetry/telemetry.h"
 #include "workloads/hibench.h"
 
 namespace bperf {
@@ -218,6 +219,49 @@ TEST(Inference, DeterministicAcrossRuns)
     const auto rb = b.run(1.0, 7);
     const EventId llc = a.uarch.idForRole(Role::LlcMiss);
     EXPECT_EQ(ra.estimate(llc), rb.estimate(llc));
+}
+
+TEST(WindowedInference, CountsUnconvergedWindows)
+{
+    // EP's converged flag reaches telemetry: a window stopped at
+    // maxSweeps counts in ep.unconverged_windows, a converged one does
+    // not.
+    const auto uarch = sim::makeX86Skylake();
+    const sim::GroundTruthGenerator gen(uarch, wl::makeHibench("KMeans"));
+    const sim::TruthTrace truth = gen.generate(4, 11);
+    std::vector<EventId> events = uarch.fixedEvents();
+    for (Role r : {Role::LlcMiss, Role::L2Miss, Role::StallMem})
+        events.push_back(uarch.idForRole(r));
+    sim::PerfSession perf(uarch, sim::PerfSessionConfig{});
+    const sim::PerfResult run = perf.runRoundRobin(truth, events);
+
+    // One 4-slice window; returns the sweeps EP ran.
+    auto run_window = [&](std::size_t max_sweeps) {
+        InferenceConfig cfg;
+        cfg.windowSlices = 4;
+        cfg.ep.maxSweeps = max_sweeps;
+        WindowedInference engine(uarch, run.monitored, cfg);
+        SliceMeasurements slice(run.monitored.size());
+        for (std::size_t t = 0; t < 4; ++t) {
+            for (std::size_t i = 0; i < slice.size(); ++i)
+                slice[i] = run.traces[i].slices[t];
+            engine.push(slice);
+        }
+        EXPECT_EQ(engine.windowsRun(), 1u);
+        return engine.epSweepsTotal();
+    };
+
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
+    const auto &registry = telemetry::MetricsRegistry::global();
+    const std::uint64_t before =
+        registry.counterValue("ep.unconverged_windows");
+    EXPECT_EQ(run_window(1), 1u);
+    EXPECT_EQ(registry.counterValue("ep.unconverged_windows"), before + 1);
+    // Stopping below the sweep cap means the window converged.
+    EXPECT_LT(run_window(200), 200u);
+    EXPECT_EQ(registry.counterValue("ep.unconverged_windows"), before + 1);
+    telemetry::setEnabled(was_enabled);
 }
 
 TEST(Inference, SessionRequiresOpen)

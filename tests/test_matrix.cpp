@@ -89,13 +89,72 @@ TEST(Matrix, InverseTimesSelfIsIdentity)
             EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-8);
 }
 
+/** Symmetric, diagonally dominant (hence SPD) matrix whose entry
+ * (r, c), r > c, is nonzero exactly when coupled(r, c). */
+template <typename Coupled>
+Matrix
+structuredSpd(std::size_t n, Rng &rng, Coupled coupled)
+{
+    Matrix a(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < r; ++c)
+            if (coupled(r, c))
+                a(r, c) = a(c, r) = rng.normal();
+    for (std::size_t r = 0; r < n; ++r) {
+        double off = 0.0;
+        for (std::size_t c = 0; c < n; ++c)
+            off += std::abs(a(r, c));
+        a(r, r) = off + 1.0 + rng.uniform();
+    }
+    return a;
+}
+
 TEST(Matrix, CholeskyInverseMatchesLuInverse)
 {
+    // The envelope factorization must agree with LU on every envelope
+    // shape: a window's slice-major block-tridiagonal precision, the
+    // golden suite's event-major ordering, a dense matrix, an envelope
+    // that is not monotone (a late row coupled to column 0), and 1x1.
     Rng rng(13);
-    const Matrix a = randomSpd(15, rng);
-    const Matrix inv_lu = a.inverse();
-    const Matrix inv_ch = a.choleskyInverse();
-    EXPECT_NEAR((inv_lu - inv_ch).frobeniusNorm(), 0.0, 1e-7);
+    constexpr std::size_t kEvents = 5, kSlices = 4, n = kEvents * kSlices;
+    const std::pair<const char *, Matrix> cases[] = {
+        {"slice-major", structuredSpd(n, rng,
+                                      [](std::size_t r, std::size_t c) {
+                                          return r / kEvents == c / kEvents ||
+                                                 r - c == kEvents;
+                                      })},
+        {"event-major",
+         structuredSpd(n, rng,
+                       [](std::size_t r, std::size_t c) {
+                           // Walks along each event's slices, and an
+                           // invariant over events 0-2 in each slice.
+                           return (r - c == 1 && r / kSlices == c / kSlices) ||
+                                  (r % kSlices == c % kSlices &&
+                                   r / kSlices < 3);
+                       })},
+        {"dense", randomSpd(15, rng)},
+        {"late row coupled to column 0",
+         structuredSpd(n, rng,
+                       [](std::size_t r, std::size_t c) {
+                           return r - c == 1 || (r == n - 1 && c == 0);
+                       })},
+        {"1x1", Matrix(1, 1, 4.0)},
+    };
+    for (const auto &[name, a] : cases) {
+        const Matrix inv_lu = a.inverse();
+        const Matrix inv_ch = a.choleskyInverse();
+        ASSERT_EQ(inv_ch.rows(), a.rows()) << name;
+        double scale = 0.0;
+        for (std::size_t r = 0; r < a.rows(); ++r)
+            for (std::size_t c = 0; c < a.cols(); ++c)
+                scale = std::max(scale, std::abs(inv_lu(r, c)));
+        for (std::size_t r = 0; r < a.rows(); ++r)
+            for (std::size_t c = 0; c < a.cols(); ++c) {
+                EXPECT_NEAR(inv_ch(r, c), inv_lu(r, c), 1e-12 * scale)
+                    << name << " (" << r << ", " << c << ")";
+                EXPECT_EQ(inv_ch(r, c), inv_ch(c, r)) << name;
+            }
+    }
 }
 
 TEST(Matrix, CholeskyInverseIsSymmetric)
