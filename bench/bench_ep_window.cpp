@@ -133,10 +133,6 @@ main()
     ep_scalar.simdQuadrature = false;
     const WindowTiming scalar = timeConfig(uarch, run, ep_scalar, reps);
 
-    core::EpConfig ep_part = ep_fast;
-    ep_part.partitions = 2;
-    const WindowTiming partitioned = timeConfig(uarch, run, ep_part, reps);
-
     core::EpConfig ep_dense;
     ep_dense.jointStrategy = core::JointStrategy::DenseResolve;
     const WindowTiming dense = timeConfig(uarch, run, ep_dense, reps);
@@ -156,11 +152,6 @@ main()
                   static_cast<double>(scalar.windows),
                   static_cast<double>(scalar.sweeps),
                   dense.usPerWindow / scalar.usPerWindow});
-    table.addRow("partitioned x2",
-                 {partitioned.usPerWindow,
-                  static_cast<double>(partitioned.windows),
-                  static_cast<double>(partitioned.sweeps),
-                  dense.usPerWindow / partitioned.usPerWindow});
     table.addRow("dense re-solve reference",
                  {dense.usPerWindow, static_cast<double>(dense.windows),
                   static_cast<double>(dense.sweeps), 1.0});
@@ -240,10 +231,8 @@ main()
         .field("joint_size", n)
         .field("quad_kernel", core::activeQuadKernelName())
         .field("block_size", ep_fast.blockSize)
-        .field("partitions", ep_part.partitions)
         .field("us_per_window_fast", fast.usPerWindow)
         .field("us_per_window_scalar", scalar.usPerWindow)
-        .field("us_per_window_partitioned", partitioned.usPerWindow)
         .field("us_per_window_dense", dense.usPerWindow)
         .field("us_per_window_mcmc", fast_mcmc.usPerWindow)
         .field("speedup_fast_vs_dense",

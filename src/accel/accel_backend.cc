@@ -34,7 +34,6 @@ jobShape(const AccelBackendConfig &cfg, const core::WindowJob &job)
     shape.numSweeps = std::max<std::size_t>(1, job.numSweeps);
     shape.samplesPerSite = cfg.samplesPerSite;
     shape.inputBytes = std::max<std::size_t>(64, job.inputBytes);
-    shape.maxPartitionSites = job.maxPartitionSites;
     return shape;
 }
 

@@ -52,15 +52,8 @@ Accelerator::simulate(const InferenceJob &job) const
     //    round trip to a sampler, and the sampler run itself.
     //    Samplers are a shared pool: utilization beyond the pool
     //    size serializes.
-    //    Under a host partition plan the engines inherit its split,
-    //    so the serial path is the plan's most loaded partition (but
-    //    never less than an even split over this pool's engines).
-    const std::size_t even_split =
-        (job.numSites + config_.epEngines - 1) / config_.epEngines;
     const std::size_t sites_per_engine =
-        job.maxPartitionSites != 0
-            ? std::max(job.maxPartitionSites, even_split)
-            : even_split;
+        (job.numSites + config_.epEngines - 1) / config_.epEngines;
 
     // Sampler service time for one site.
     const std::uint64_t sampler_cycles =

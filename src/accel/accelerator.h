@@ -68,13 +68,6 @@ struct InferenceJob
     std::size_t numSweeps = 4;    // EP sweeps until convergence
     std::size_t samplesPerSite = 400;
     std::size_t inputBytes = 4096; // measurements + g(theta) stream
-    /**
-     * Critical-path sites of the host's partition plan
-     * (graph/partition.h) when the window ran partitioned; the
-     * engines follow the same plan, so the per-engine serial work is
-     * this instead of an even ceil-division.  0 = unpartitioned.
-     */
-    std::size_t maxPartitionSites = 0;
 };
 
 /** Result of simulating one job. */

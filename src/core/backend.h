@@ -49,15 +49,6 @@ struct WindowJob
     std::size_t numVariables = 0;
     /** Student-t measurement sites EP refreshed. */
     std::size_t numSites = 0;
-    /**
-     * Sites of the most loaded partition when the host engine ran a
-     * partitioned sweep (graph/partition.h): accelerator backends
-     * spread the window over engines along the same plan, so their
-     * per-engine critical path matches the host's.  0 = the window
-     * ran unpartitioned; backends fall back to an even ceil-division
-     * split.
-     */
-    std::size_t maxPartitionSites = 0;
     /** EP sweeps until convergence. */
     std::size_t numSweeps = 0;
     /** Measurement + g(theta) bytes streamed into the engine. */

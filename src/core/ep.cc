@@ -51,15 +51,13 @@ quadMomentsOnGrid(double cavity_mean, double cavity_var, double loc,
 }
 
 /**
- * One site's moment-matched damped update (Alg. 1 lines 3-7), shared
- * by the sequential and partitioned sweep schedules: computes the
- * cavity and tilted moments, commits the damped site approximation
- * and folds its delta into `site_sums`, and accumulates the relative
- * mean change into `max_rel_change`.  Returns false (touching
- * nothing) when the cavity is improper or degenerate; `delta_out` is
- * valid only on true.  Bringing the *joint* up to date with
- * `delta_out` is the caller's job — that is where the two schedules
- * differ.
+ * One site's moment-matched damped update (Alg. 1 lines 3-7):
+ * computes the cavity and tilted moments, commits the damped site
+ * approximation and folds its delta into `site_sums`, and accumulates
+ * the relative mean change into `max_rel_change`.  Returns false
+ * (touching nothing) when the cavity is improper or degenerate;
+ * `delta_out` is valid only on true.  Bringing the *joint* up to date
+ * with `delta_out` is the caller's job.
  */
 template <typename Site>
 bool
@@ -198,10 +196,7 @@ tiltedMomentsMcmc(double cavity_mean, double cavity_var, double loc,
 std::size_t
 EpWorkspace::totalAllocations() const
 {
-    std::size_t total = grows_ + scratch_.grows + solver_.bufferGrows();
-    for (const Lane &lane : lanes_)
-        total += lane.scratch.grows;
-    return total;
+    return grows_ + scratch_.grows + solver_.bufferGrows();
 }
 
 ExpectationPropagation::ExpectationPropagation(EpConfig config)
@@ -244,7 +239,6 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     result.rank1Updates = 0;
     result.fullSolves = 0;
     result.blockFlushes = 0;
-    result.deferredUpdates = 0;
     result.workspaceAllocations = 0;
 
     GaussianSolver &solver = ws.solver_;
@@ -279,11 +273,7 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
     ++result.fullSolves;
 
-    if (config_.partitions > 1 &&
-        config_.jointStrategy == JointStrategy::Rank1 && !ws.sites_.empty())
-        runSweepsPartitioned(graph, ws, result);
-    else
-        runSweepsSequential(graph, ws, result);
+    runSweeps(graph, ws, result);
 
     if (result.mean.capacity() < n || result.stddev.capacity() < n)
         ++ws.grows_;
@@ -298,9 +288,8 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
 }
 
 void
-ExpectationPropagation::runSweepsSequential(const FactorGraph &graph,
-                                            EpWorkspace &ws,
-                                            EpResult &result) const
+ExpectationPropagation::runSweeps(const FactorGraph &graph,
+                                  EpWorkspace &ws, EpResult &result) const
 {
     const std::size_t n = graph.numVariables();
     GaussianSolver &solver = ws.solver_;
@@ -392,159 +381,6 @@ ExpectationPropagation::runSweepsSequential(const FactorGraph &graph,
     // current for result extraction.
     updater.flush();
     result.blockFlushes += updater.flushes();
-}
-
-void
-ExpectationPropagation::runSweepsPartitioned(const FactorGraph &graph,
-                                             EpWorkspace &ws,
-                                             EpResult &result) const
-{
-    const std::size_t n = graph.numVariables();
-    const std::size_t num_sites = ws.sites_.size();
-    GaussianSolver &solver = ws.solver_;
-    const QuadKernelFn quad =
-        config_.simdQuadrature ? activeQuadKernel() : quadMomentsScalar;
-    const std::size_t block_size = clampedBlockSize(config_);
-
-    // The shared partitioning pass (also consumed by the accelerator
-    // model via WindowJob): contiguous variable-id bands, one per
-    // engine lane.
-    if (ws.plan_.partitionOfSite.capacity() < num_sites ||
-        ws.plan_.siteCounts.capacity() < config_.partitions)
-        ++ws.grows_;
-    graph::partitionSites(graph, config_.partitions, ws.plan_);
-    const std::size_t P = ws.plan_.numPartitions;
-
-    if (ws.lanes_.capacity() < P)
-        ++ws.grows_;
-    ws.lanes_.resize(P);
-    for (EpWorkspace::Lane &lane : ws.lanes_) {
-        if (lane.joint.mean.capacity() < n ||
-            lane.joint.covariance.capacity() < n * n)
-            ++ws.grows_;
-    }
-
-    const std::size_t T = std::min(
-        std::max<std::size_t>(config_.partitionThreads, 1), P);
-    if (T > 1 && ws.threads_.capacity() < T - 1)
-        ++ws.grows_;
-
-    double damping = config_.damping;
-    double prev_change = 1e300;
-
-    for (std::size_t sweep = 0; sweep < config_.maxSweeps; ++sweep) {
-        ++result.sweeps;
-
-        // Phase A prep (serial): freeze the sweep-start joint into
-        // every lane and zero the per-sweep counters.  Copy-assign
-        // reuses lane capacity, so steady-state sweeps allocate
-        // nothing.
-        for (EpWorkspace::Lane &lane : ws.lanes_) {
-            lane.joint = ws.joint_;
-            lane.skipped = 0;
-            lane.moments = 0;
-            lane.rank1 = 0;
-            lane.deferred = 0;
-            lane.flushes = 0;
-            lane.maxRelChange = 0.0;
-        }
-
-        // Phase A (parallelizable): every lane updates its own sites
-        // against its frozen joint.  Lanes own disjoint sites and
-        // disjoint variables (the plan maps whole variables), so the
-        // shared writes — ws.sites_[i].approx and ws.siteByVar_[v] —
-        // touch distinct elements; the arithmetic per lane does not
-        // depend on scheduling, which is what makes the posterior
-        // bit-identical for any thread count.
-        auto lane_work = [&](std::size_t p) {
-            EpWorkspace::Lane &lane = ws.lanes_[p];
-            graph::BlockedJointUpdater updater(lane.joint, lane.scratch,
-                                               block_size);
-            for (std::size_t i = 0; i < num_sites; ++i) {
-                if (ws.plan_.partitionOfSite[i] != p)
-                    continue;
-                EpWorkspace::Site &site = ws.sites_[i];
-                const graph::VarId v = site.var;
-                const double marg_var = updater.marginalVariance(v);
-                const double marg_mean = lane.joint.mean[v];
-                // Deterministic per-(sweep, site) seed: MCMC draws
-                // must not depend on lane interleaving.
-                const std::uint64_t mcmc_seed =
-                    config_.seed +
-                    0x9E3779B97F4A7C15ull *
-                        static_cast<std::uint64_t>(sweep * num_sites + i + 1);
-
-                Gaussian delta;
-                if (!momentMatchSite(graph, site, ws.siteByVar_, marg_mean,
-                                     marg_var, config_, quad, damping,
-                                     mcmc_seed, delta, lane.maxRelChange)) {
-                    ++lane.skipped;
-                    continue;
-                }
-                ++lane.moments;
-                if (delta.lambda == 0.0 && delta.eta == 0.0)
-                    continue;
-                if (updater.push(v, delta.lambda, delta.eta)) {
-                    ++lane.rank1;
-                } else {
-                    // A lane never re-factorizes (that would depend on
-                    // lane state, not the graph): the site change is
-                    // committed and the merge solve below carries it.
-                    ++lane.deferred;
-                }
-            }
-            // The lane joint is discarded at the merge; whatever is
-            // still pending need not be applied.
-            updater.discard();
-            lane.flushes = updater.flushes();
-        };
-
-        if (T > 1) {
-            ws.threads_.clear();
-            for (std::size_t t = 1; t < T; ++t)
-                ws.threads_.emplace_back([&lane_work, t, T, P]() {
-                    for (std::size_t p = t; p < P; p += T)
-                        lane_work(p);
-                });
-            for (std::size_t p = 0; p < P; p += T)
-                lane_work(p);
-            for (std::thread &th : ws.threads_)
-                th.join();
-            ws.threads_.clear();
-        } else {
-            for (std::size_t p = 0; p < P; ++p)
-                lane_work(p);
-        }
-
-        // Phase B (serial): merge counters — max and sums are
-        // order-independent — then synchronize the controller's joint
-        // with one full solve over the freshly rebuilt site sums.
-        double max_rel_change = 0.0;
-        for (const EpWorkspace::Lane &lane : ws.lanes_) {
-            result.skippedUpdates += lane.skipped;
-            result.momentEvaluations += lane.moments;
-            result.rank1Updates += lane.rank1;
-            result.deferredUpdates += lane.deferred;
-            result.blockFlushes += lane.flushes;
-            max_rel_change = std::max(max_rel_change, lane.maxRelChange);
-        }
-
-        ws.siteByVar_.assign(n, Gaussian::flat());
-        for (const auto &s : ws.sites_)
-            ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
-        solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-        ++result.fullSolves;
-
-        if (max_rel_change < config_.tolerance) {
-            result.converged = true;
-            break;
-        }
-        damping = (max_rel_change < 20.0 * config_.tolerance &&
-                   max_rel_change < prev_change)
-                      ? 1.0
-                      : config_.damping;
-        prev_change = max_rel_change;
-    }
 }
 
 } // namespace core

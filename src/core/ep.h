@@ -15,21 +15,12 @@
  * fallback); sites update sequentially against a joint that is kept
  * current by blocked Sherman-Morrison downdates of the covariance
  * (BlockedJointUpdater: O(n^2) per site with the triangle sweep
- * amortized over EpConfig::blockSize sites, instead of an O(n^3)
- * re-solve), with a periodic full re-factorization for numerical
- * hygiene (EpConfig::refactorInterval).  JointStrategy::DenseResolve
- * replaces every incremental update with a full re-solve on the same
- * schedule; the golden-posterior suite pins the two paths to each
- * other within 1e-6.
- *
- * With EpConfig::partitions > 1 the engine switches to the paper's
- * synchronous per-engine schedule: the shared partitioning pass
- * (graph/partition.h) splits sites into contiguous variable-id bands,
- * each sweep updates every band against a frozen copy of the joint
- * (optionally on EpConfig::partitionThreads worker threads), and one
- * full solve merges the sweep — the controller sync.  Because bands
- * own disjoint sites and the merge is a deterministic full solve, the
- * posterior is bit-identical for any thread count.
+ * amortized over EpConfig::blockSize sites, instead of a re-solve),
+ * with a periodic full re-factorization for numerical hygiene
+ * (EpConfig::refactorInterval; the envelope solve of graph/exact.h).
+ * JointStrategy::DenseResolve replaces every incremental update with
+ * a full re-solve on the same schedule; the golden-posterior suite
+ * pins the two paths to each other within 1e-6.
  *
  * Callers that run EP repeatedly (windowed inference) pass an
  * EpWorkspace (and optionally a persistent EpResult) so steady-state
@@ -40,12 +31,10 @@
 #define BPERF_CORE_EP_H
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "graph/exact.h"
 #include "graph/factor_graph.h"
-#include "graph/partition.h"
 
 namespace bperf {
 namespace core {
@@ -108,16 +97,6 @@ struct EpConfig
      * tests and for -DBPERF_SIMD=OFF builds.
      */
     bool simdQuadrature = true;
-    /**
-     * Number of site partitions (the paper's per-slice EP engines).
-     * 1 = sequential sweeps (the classic schedule); > 1 = synchronous
-     * partition-parallel sweeps merged by a full solve.  Only the
-     * Rank1 strategy partitions; DenseResolve stays sequential.
-     */
-    std::size_t partitions = 1;
-    /** Worker threads for partition-parallel sweeps (clamped to the
-     * partition count; results are identical for any value). */
-    std::size_t partitionThreads = 1;
 };
 
 /** Result of EP inference. */
@@ -137,12 +116,6 @@ struct EpResult
     std::size_t fullSolves = 0;
     /** Covariance-triangle sweeps of the blocked updater. */
     std::size_t blockFlushes = 0;
-    /**
-     * Partitioned-mode site updates whose lane-local downdate was
-     * refused; the site change is carried by the sweep's merge solve
-     * instead (sequential mode re-factorizes immediately).
-     */
-    std::size_t deferredUpdates = 0;
     /**
      * Workspace buffer-growth events during this run.  0 means the
      * run reused a warm EpWorkspace without allocating — the
@@ -166,14 +139,6 @@ class EpWorkspace
     /** EP runs served by this workspace. */
     std::size_t runs() const { return runs_; }
 
-    /**
-     * Partition plan of the most recent partitioned run (empty/1 when
-     * every run was sequential).  The windowed engine forwards its
-     * critical path (maxPartitionSites) to the execution backend so
-     * simulated accelerator engines split the window the same way.
-     */
-    const graph::PartitionPlan &partitionPlan() const { return plan_; }
-
   private:
     friend class ExpectationPropagation;
 
@@ -184,28 +149,11 @@ class EpWorkspace
         graph::Gaussian approx; // natural units
     };
 
-    /** Per-partition engine state (partition-parallel sweeps). */
-    struct Lane
-    {
-        graph::GaussianJoint joint; // frozen sweep-start copy
-        graph::SolverScratch scratch;
-        // Per-sweep counters, merged serially after the join.
-        std::size_t skipped = 0;
-        std::size_t moments = 0;
-        std::size_t rank1 = 0;
-        std::size_t deferred = 0;
-        std::size_t flushes = 0;
-        double maxRelChange = 0.0;
-    };
-
     std::vector<Site> sites_;
     std::vector<graph::Gaussian> siteByVar_;
     graph::GaussianSolver solver_;
     graph::GaussianJoint joint_;
     graph::SolverScratch scratch_;
-    graph::PartitionPlan plan_;
-    std::vector<Lane> lanes_;
-    std::vector<std::thread> threads_;
     std::size_t grows_ = 0;
     std::size_t runs_ = 0;
 };
@@ -233,10 +181,8 @@ class ExpectationPropagation
              EpResult &result) const;
 
   private:
-    void runSweepsSequential(const graph::FactorGraph &graph,
-                             EpWorkspace &ws, EpResult &result) const;
-    void runSweepsPartitioned(const graph::FactorGraph &graph,
-                              EpWorkspace &ws, EpResult &result) const;
+    void runSweeps(const graph::FactorGraph &graph, EpWorkspace &ws,
+                   EpResult &result) const;
 
     EpConfig config_;
 };

@@ -106,7 +106,6 @@ struct InferenceResult
     std::size_t epRank1Updates = 0;
     std::size_t epFullSolves = 0;
     std::size_t epBlockFlushes = 0;
-    std::size_t epDeferredUpdates = 0;
     std::size_t epSkippedUpdates = 0;
     double wallSeconds = 0.0;
     /**
@@ -357,7 +356,6 @@ class WindowedInference
     std::size_t epRank1Updates_ = 0;
     std::size_t epFullSolves_ = 0;
     std::size_t epBlockFlushes_ = 0;
-    std::size_t epDeferredUpdates_ = 0;
     std::size_t epSkippedUpdates_ = 0;
     double inferSeconds_ = 0.0;
     std::vector<double> pendingWindowSeconds_;

@@ -156,9 +156,7 @@ class GaussianSolver
  * before reading covariance entries directly, and discard() before a
  * full re-solve (which supersedes anything pending).
  *
- * Borrows the joint and scratch; one updater serves one EP run (or
- * one partition lane).  Not thread-safe across lanes sharing a
- * scratch.
+ * Borrows the joint and scratch; one updater serves one EP run.
  */
 class BlockedJointUpdater
 {

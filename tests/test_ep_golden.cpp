@@ -443,85 +443,6 @@ TEST(GoldenPosteriors, SimdQuadratureBitIdenticalToScalar)
     }
 }
 
-TEST(GoldenPosteriors, PartitionedSweepsAgreeWithSequential)
-{
-    // Partition-parallel sweeps follow a different update schedule
-    // (frozen lane joints, merge solve), so mid-trajectory iterates
-    // differ; run both schedules to convergence at a tight tolerance
-    // and compare the fixed points.  Quadrature only: the MCMC moment
-    // sampler consumes its RNG in schedule order, so its Monte Carlo
-    // error would dominate any schedule comparison.
-    constexpr double kPartitionRelTol = 1e-10;
-    for (const GoldenCase &c : goldenCases()) {
-        if (c.method != MomentMethod::Quadrature)
-            continue;
-        const FactorGraph g = makeWindowGraph(c.k, c.degenerate);
-        EpConfig cfg;
-        cfg.jointStrategy = JointStrategy::Rank1;
-        cfg.tolerance = 1e-12;
-        cfg.maxSweeps = 60;
-        ExpectationPropagation seq_ep(cfg);
-        const EpResult sequential = seq_ep.run(g);
-
-        for (std::size_t parts : {2u, 4u}) {
-            cfg.partitions = parts;
-            ExpectationPropagation par_ep(cfg);
-            const EpResult partitioned = par_ep.run(g);
-            ASSERT_EQ(partitioned.mean.size(), sequential.mean.size())
-                << c.name;
-            for (std::size_t v = 0; v < sequential.mean.size(); ++v) {
-                expectClose(partitioned.mean[v], sequential.mean[v],
-                            kPartitionRelTol,
-                            c.name + " p" + std::to_string(parts) +
-                                " mean[" + std::to_string(v) + "]");
-                expectClose(partitioned.stddev[v], sequential.stddev[v],
-                            kPartitionRelTol,
-                            c.name + " p" + std::to_string(parts) +
-                                " stddev[" + std::to_string(v) + "]");
-            }
-        }
-    }
-}
-
-TEST(GoldenPosteriors, PartitionedSweepsDeterministic)
-{
-    // The partition-parallel schedule must be a pure function of the
-    // graph: bit-identical across worker thread counts and across
-    // repeated runs through the same engine (which reuses its
-    // workspace arenas).
-    const FactorGraph g = makeWindowGraph(6, false);
-    EpConfig cfg;
-    cfg.jointStrategy = JointStrategy::Rank1;
-    cfg.partitions = 4;
-    cfg.partitionThreads = 1;
-    ExpectationPropagation base_ep(cfg);
-    const EpResult base = base_ep.run(g);
-    ASSERT_FALSE(base.mean.empty());
-
-    const EpResult again = base_ep.run(g);
-    ASSERT_EQ(again.mean.size(), base.mean.size());
-    EXPECT_EQ(again.sweeps, base.sweeps);
-    for (std::size_t v = 0; v < base.mean.size(); ++v) {
-        EXPECT_EQ(again.mean[v], base.mean[v]) << "rerun mean[" << v << "]";
-        EXPECT_EQ(again.stddev[v], base.stddev[v])
-            << "rerun stddev[" << v << "]";
-    }
-
-    for (std::size_t threads : {2u, 4u}) {
-        cfg.partitionThreads = threads;
-        ExpectationPropagation ep(cfg);
-        const EpResult r = ep.run(g);
-        ASSERT_EQ(r.mean.size(), base.mean.size()) << threads;
-        EXPECT_EQ(r.sweeps, base.sweeps) << threads;
-        for (std::size_t v = 0; v < base.mean.size(); ++v) {
-            EXPECT_EQ(r.mean[v], base.mean[v])
-                << threads << " threads, mean[" << v << "]";
-            EXPECT_EQ(r.stddev[v], base.stddev[v])
-                << threads << " threads, stddev[" << v << "]";
-        }
-    }
-}
-
 TEST(GoldenPosteriors, MatchesRecordedFixtures)
 {
     const std::vector<GoldenCase> cases = goldenCases();
