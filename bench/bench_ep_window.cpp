@@ -31,6 +31,7 @@
 #include "core/ep.h"
 #include "core/inference.h"
 #include "core/quad_kernel.h"
+#include "graph/flush_kernel.h"
 #include "sim/ground_truth.h"
 #include "sim/perf_session.h"
 #include "workloads/hibench.h"
@@ -201,13 +202,23 @@ main()
     graph::SolverScratch scratch;
     solver.solveInto({}, joint, scratch);
 
+    // Blocked site updates as EP issues them, flushes included.  Each
+    // moves a marginal precision by 1%, up on even passes over the
+    // variables and down on odd ones, so the joint stays near its
+    // start.
     const std::size_t r1_iters = bench::quickMode() ? 5000 : 50000;
-    t0 = now();
-    for (std::size_t i = 0; i < r1_iters; ++i) {
-        // Alternate up/down so the joint stays near its start state.
-        const double dl = (i % 2 == 0) ? 1e-4 : -1e-4;
-        graph::GaussianSolver::rank1SiteUpdate(
-            joint, static_cast<graph::VarId>(i % n), dl, dl, scratch);
+    {
+        graph::BlockedJointUpdater updater(joint, scratch,
+                                           ep_fast.blockSize);
+        t0 = now();
+        for (std::size_t i = 0; i < r1_iters; ++i) {
+            const auto v = static_cast<graph::VarId>(i % n);
+            const double sign = (i / n) % 2 == 0 ? 1.0 : -1.0;
+            if (!updater.push(v, sign * 0.01 / updater.marginalVariance(v),
+                              0.0))
+                bp_panic("bench site update refused");
+        }
+        updater.flush();
     }
     const double rank1_us = 1e6 * (now() - t0) / r1_iters;
 
@@ -219,7 +230,7 @@ main()
 
     std::cout << "\nKernel micro-costs at n=" << n << ":\n"
               << "  fused quadrature (129 pts): " << quad_us << " us\n"
-              << "  rank-1 joint update:        " << rank1_us << " us\n"
+              << "  blocked joint update:       " << rank1_us << " us\n"
               << "  full factorization:         " << solve_us << " us\n"
               << "  (sink " << sink << ")\n";
 
@@ -230,6 +241,7 @@ main()
         .field("window_slices", 6)
         .field("joint_size", n)
         .field("quad_kernel", core::activeQuadKernelName())
+        .field("flush_kernel", graph::activeFlushKernelName())
         .field("block_size", ep_fast.blockSize)
         .field("us_per_window_fast", fast.usPerWindow)
         .field("us_per_window_scalar", scalar.usPerWindow)

@@ -70,7 +70,7 @@ ReadLatencyModel::bayesPerfCpuCycles() const
             core::tiltedMomentsQuadrature(1.0e6, 4.0e10, 1.05e6, 2.0e5,
                                           3.0, 129, m, v);
             // Rank-1 covariance refresh: one outer-product pass over
-            // the stored lower triangle, as in rank1SiteUpdate.
+            // the stored lower triangle, as EP's joint updates do.
             const double c = 1e-3 * (m * 1e-6 + 1.0);
             for (std::size_t r = 0; r < n; ++r) {
                 const double cr = c * col[r];

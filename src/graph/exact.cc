@@ -96,7 +96,8 @@ GaussianSolver::solveInto(const std::vector<Gaussian> &sites,
         }
     }
 
-    // Covariance = J^-1 (one Cholesky factorization), mean = J^-1 h.
+    // Covariance = J^-1 (one envelope Cholesky factorization),
+    // mean = J^-1 h.
     scratch.J.choleskyInverseInto(joint.covariance, scratch.chol);
 
     // Mean in natural units, from the still-scaled covariance.
@@ -118,69 +119,6 @@ GaussianSolver::solveInto(const std::vector<Gaussian> &sites,
         for (std::size_t c = 0; c < n; ++c)
             row[c] *= sr * scale_[c];
     }
-}
-
-bool
-GaussianSolver::rank1SiteUpdate(GaussianJoint &joint, VarId v,
-                                double d_lambda, double d_eta,
-                                SolverScratch &scratch)
-{
-    const std::size_t n = joint.mean.size();
-    bp_assert(v < n, "rank-1 update variable out of range");
-
-    // Natural units throughout: a site change (d_lambda, d_eta) on
-    // variable v shifts the precision by d_lambda e_v e_v^T and the
-    // information vector by d_eta e_v.  With sigma = Sigma e_v:
-    //   Sigma' = Sigma - (d_lambda / denom) sigma sigma^T
-    //   mean'  = mean + sigma (d_eta - d_lambda mean_v) / denom
-    // where denom = 1 + d_lambda Sigma_vv.
-    const double var_v = joint.covariance(v, v);
-    if (!(var_v > 0.0))
-        return false;
-    const double dl_var = d_lambda * var_v;
-    const double denom = 1.0 + dl_var;
-    // Conditioning guards — refuse and let the caller re-solve when
-    // the update would poison the covariance:
-    //  - denom <= 0.05: a strong downdate amplifies every entry (and
-    //    any accumulated drift) by 1/denom > 20x;
-    //  - dl_var > 1e4: the diagonal update cancels ~dl_var leading
-    //    digits, injecting ~dl_var * eps relative error.
-    // Both are rare (large site jumps happen in the first sweeps);
-    // the O(n^3) fallback keeps the fast path's drift below the
-    // 1e-6 agreement the golden suite asserts.
-    if (!(denom > 0.05) || dl_var > 1e4)
-        return false;
-
-    if (scratch.col.capacity() < n)
-        ++scratch.grows;
-    scratch.col.resize(n);
-    double *cov = joint.covariance.data();
-    double *col = scratch.col.data();
-    double *mean = joint.mean.data();
-    // Sigma e_v from the lower triangle: row v up to the diagonal
-    // (contiguous), column v below it.
-    const double *rowv = cov + static_cast<std::size_t>(v) * n;
-    for (std::size_t r = 0; r <= v; ++r)
-        col[r] = rowv[r];
-    for (std::size_t r = v + 1; r < n; ++r)
-        col[r] = cov[r * n + v];
-
-    const double mean_gain = (d_eta - d_lambda * mean[v]) / denom;
-    for (std::size_t r = 0; r < n; ++r)
-        mean[r] += mean_gain * col[r];
-
-    // Update the lower triangle only: the matrix is symmetric and the
-    // hot loop is memory-bound, so mirroring the upper half would
-    // double the traffic to maintain entries nothing reads (see the
-    // header contract).
-    const double c = d_lambda / denom;
-    for (std::size_t r = 0; r < n; ++r) {
-        const double cr = c * col[r];
-        double *row = cov + r * n;
-        for (std::size_t k = 0; k <= r; ++k)
-            row[k] -= cr * col[k];
-    }
-    return true;
 }
 
 BlockedJointUpdater::BlockedJointUpdater(GaussianJoint &joint,
@@ -245,7 +183,15 @@ BlockedJointUpdater::push(VarId v, double d_lambda, double d_eta)
         return false;
     const double dl_var = d_lambda * var_v;
     const double denom = 1.0 + dl_var;
-    // Same conditioning guards as rank1SiteUpdate (see its comment).
+    // Conditioning guards — refuse and let the caller re-solve when
+    // the update would poison the covariance:
+    //  - denom <= 0.05: a strong downdate amplifies every entry (and
+    //    any accumulated drift) by 1/denom > 20x;
+    //  - dl_var > 1e4: the diagonal update cancels ~dl_var leading
+    //    digits, injecting ~dl_var * eps relative error.
+    // Both are rare (large site jumps happen in the first sweeps);
+    // the full-solve fallback keeps the fast path's drift below the
+    // 1e-6 agreement the golden suite asserts.
     if (!(denom > 0.05) || dl_var > 1e4)
         return false;
 

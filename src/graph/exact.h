@@ -13,9 +13,13 @@
  * The Gaussian backbone (everything except the sites) never changes
  * between solves of the same graph, so the solver caches it at
  * construction; repeated solves only add the site diagonal and
- * factorize.  For EP's inner loop the solver additionally supports
- * Sherman-Morrison rank-1 updates of an already-solved joint, so a
- * single-site change costs O(n^2) instead of an O(n^3) re-solve.
+ * factorize.  The factorization is an envelope Cholesky
+ * (Matrix::choleskyInverseInto) that follows a window graph's
+ * structure: its variables are slice-major and each couples only to
+ * its own and the neighbouring slices, so a solve costs O(n^2 w) for
+ * envelope width w instead of O(n^3).  For EP's inner loop,
+ * BlockedJointUpdater applies Sherman-Morrison site updates to an
+ * already-solved joint, so a single-site change costs O(n^2).
  *
  * When every factor in the graph is Gaussian this *is* the exact
  * posterior, which the tests use to validate EP.
@@ -45,16 +49,16 @@ struct GaussianJoint
 };
 
 /**
- * Reusable buffers for GaussianSolver::solveInto and rank-1 updates.
- * One scratch belongs to one solver loop (EP run / workspace); solves
- * become allocation-free once its capacity covers the graph size.
+ * Reusable buffers for GaussianSolver::solveInto and
+ * BlockedJointUpdater.  One scratch belongs to one solver loop (EP run
+ * / workspace); solves become allocation-free once its capacity covers
+ * the graph size.
  */
 struct SolverScratch
 {
     Matrix J;                  // scaled precision copy
     std::vector<double> h;     // scaled information vector
     std::vector<double> chol;  // Cholesky factorization scratch
-    std::vector<double> col;   // covariance column (rank-1 updates)
     std::vector<double> blockW; // pending update columns (block x n)
     std::vector<double> blockC; // pending downdate coefficients
     /** Buffer-growth events (allocation accounting for EpWorkspace). */
@@ -100,30 +104,6 @@ class GaussianSolver
                    SolverScratch &scratch) const;
 
     /**
-     * Apply a single-site natural-parameter change (d_lambda, d_eta)
-     * on variable v to an already-solved joint, via Sherman-Morrison
-     * on the precision matrix: O(n^2).  The joint must correspond to
-     * the site values *before* the change.
-     *
-     * Contract: only the LOWER triangle (including the diagonal) of
-     * joint.covariance is kept current — the update is memory-bound
-     * and the EP loop reads only marginal variances (diagonal) and
-     * columns (recoverable from the lower triangle), so mirroring the
-     * upper half would double the traffic for nothing.  The mean is
-     * exact.  A subsequent solveInto restores the full symmetric
-     * matrix; callers needing upper-triangle entries after rank-1
-     * updates must read (c, r) with r >= c instead.
-     *
-     * Returns false — leaving the joint untouched — when the downdate
-     * is too ill-conditioned to apply stably (1 + d_lambda * var(v)
-     * not safely positive); the caller must then fall back to a full
-     * solveInto with the new site values.
-     */
-    static bool rank1SiteUpdate(GaussianJoint &joint, VarId v,
-                                double d_lambda, double d_eta,
-                                SolverScratch &scratch);
-
-    /**
      * True iff the graph contains non-Gaussian factors (so solve()
      * alone is not the full posterior).
      */
@@ -138,23 +118,32 @@ class GaussianSolver
 };
 
 /**
- * Blocked (rank-k) variant of GaussianSolver::rank1SiteUpdate: defers
- * up to `blockSize` site downdates and applies them to the stored
- * lower triangle in one pass, cutting the memory traffic of the
- * covariance sweep by the block factor (the rank-1 update is
- * memory-bound).
+ * Sherman-Morrison site updates of an already-solved joint, applied
+ * in blocks.  A site change (d_lambda, d_eta) on variable v shifts
+ * the precision by d_lambda e_v e_v^T and the information vector by
+ * d_eta e_v; with sigma = Sigma e_v and denom = 1 + d_lambda Sigma_vv,
+ *   Sigma' = Sigma - (d_lambda / denom) sigma sigma^T
+ *   mean'  = mean + sigma (d_eta - d_lambda mean_v) / denom.
+ * The updater defers up to `blockSize` of these downdates and applies
+ * them to the stored covariance in one pass (flush_kernel.h), cutting
+ * the memory traffic of the memory-bound covariance sweep by the
+ * block factor.
  *
  * The algebra is exactly the sequential Sherman-Morrison chain: each
  * push materializes the covariance column of its variable *as of all
  * pending updates* (implicit correction against the pending block),
  * so marginal variances, mean updates and conditioning guards see the
- * same values the one-at-a-time path would — the two paths differ
- * only by floating-point summation order.
+ * same values one-at-a-time updates would — block sizes differ only
+ * by floating-point summation order.
  *
- * The joint's mean is kept current eagerly; its covariance is current
- * only through marginalVariance()/flush().  Callers must flush()
- * before reading covariance entries directly, and discard() before a
- * full re-solve (which supersedes anything pending).
+ * Contract: only the LOWER triangle (including the diagonal) of
+ * joint.covariance is kept current — the EP loop reads only marginal
+ * variances and columns, both recoverable from it, so mirroring the
+ * upper half would double the traffic for nothing.  The mean is kept
+ * current eagerly; the covariance only through marginalVariance() and
+ * flush().  Callers must flush() before reading covariance entries
+ * (r, c) with c <= r directly, and discard() before a full re-solve,
+ * which supersedes anything pending and restores the full matrix.
  *
  * Borrows the joint and scratch; one updater serves one EP run.
  */
@@ -173,9 +162,10 @@ class BlockedJointUpdater
     /**
      * Queue the site change (d_lambda, d_eta) on v.  Applies the mean
      * update immediately and auto-flushes when the block fills.
-     * Returns false — leaving joint and block untouched — under the
-     * same conditioning guards as rank1SiteUpdate; the caller must
-     * then discard() and fall back to a full solve.
+     * Returns false — leaving joint and block untouched — when the
+     * downdate is too ill-conditioned to apply stably (see push() in
+     * exact.cc); the caller must then discard() and fall back to a
+     * full solve.
      */
     bool push(VarId v, double d_lambda, double d_eta);
 

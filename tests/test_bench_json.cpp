@@ -89,6 +89,7 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
         .field("window_slices", 6)
         .field("joint_size", 78)
         .field("quad_kernel", "avx2")
+        .field("flush_kernel", "avx2")
         .field("block_size", 8)
         .field("us_per_window_fast", 730.5)
         .field("us_per_window_scalar", 4500.0)
@@ -109,7 +110,7 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
     EXPECT_TRUE(JsonChecker(doc).valid());
     for (const char *key :
          {"events", "window_slices", "joint_size", "quad_kernel",
-          "us_per_window_fast", "us_per_window_scalar",
+          "flush_kernel", "us_per_window_fast", "us_per_window_scalar",
           "us_per_window_dense", "speedup_fast_vs_dense",
           "speedup_simd_vs_scalar", "buffer_growths"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),

@@ -225,7 +225,7 @@ TEST(GaussianSolver, SolveIntoReusesBuffersAcrossSolves)
     }
 }
 
-TEST(GaussianSolver, Rank1SiteUpdateMatchesFullResolve)
+TEST(BlockedJointUpdater, MatchesFullResolveAtEveryBlockSize)
 {
     FactorGraph g;
     const VarId a = g.addVariable("a", 10.0);
@@ -236,19 +236,11 @@ TEST(GaussianSolver, Rank1SiteUpdateMatchesFullResolve)
     g.addGaussianPrior("pc", c, 0.09, 0.05);
     g.addLinearGaussian("ab", {{a, 100.0}, {b, -1.0}}, 0.0, 50.0);
     g.addLinearGaussian("bc", {{b, 1.0}, {c, -1e4}}, 0.0, 80.0);
-
     GaussianSolver solver(g);
-    SolverScratch scratch;
 
-    std::vector<Gaussian> sites(3, Gaussian::flat());
-    sites[a] = Gaussian::fromMeanVar(11.0, 9.0);
-    sites[c] = Gaussian::fromMeanVar(0.1, 0.01);
-
-    GaussianJoint joint;
-    solver.solveInto(sites, joint, scratch);
-
-    // Apply a chain of site changes (updates and downdates) via
-    // rank-1; re-solving from the final site values must agree.
+    // A chain of site changes (updates and downdates); re-solving from
+    // the final site values must agree whether the changes flush one
+    // at a time, mid-chain or only at the end.
     struct Change
     {
         VarId v;
@@ -257,52 +249,78 @@ TEST(GaussianSolver, Rank1SiteUpdateMatchesFullResolve)
         {a, 10.0, 4.0}, {b, 950.0, 1e4}, {c, 0.11, 0.004},
         {a, 12.5, 16.0}, // downdate on a
     };
-    for (const Change &ch : changes) {
-        const Gaussian next = Gaussian::fromMeanVar(ch.mean, ch.var);
-        const Gaussian delta = next / sites[ch.v];
-        ASSERT_TRUE(GaussianSolver::rank1SiteUpdate(
-            joint, ch.v, delta.lambda, delta.eta, scratch));
-        sites[ch.v] = next;
-    }
+    for (std::size_t block : {1u, 3u, 8u}) {
+        std::vector<Gaussian> sites(3, Gaussian::flat());
+        sites[a] = Gaussian::fromMeanVar(11.0, 9.0);
+        sites[c] = Gaussian::fromMeanVar(0.1, 0.01);
+        GaussianJoint joint;
+        SolverScratch scratch;
+        solver.solveInto(sites, joint, scratch);
 
-    GaussianJoint resolved;
-    solver.solveInto(sites, resolved, scratch);
-    for (std::size_t v = 0; v < 3; ++v) {
-        EXPECT_NEAR(joint.mean[v], resolved.mean[v],
-                    1e-9 * std::abs(resolved.mean[v]))
-            << "var " << v;
-        // Rank-1 updates maintain the lower triangle (see header).
-        for (std::size_t u = 0; u <= v; ++u)
-            EXPECT_NEAR(joint.covariance(v, u),
-                        resolved.covariance(v, u),
-                        1e-9 * std::sqrt(resolved.covariance(v, v) *
-                                         resolved.covariance(u, u)))
-                << "cov(" << v << ", " << u << ")";
+        BlockedJointUpdater updater(joint, scratch, block);
+        for (const Change &ch : changes) {
+            const Gaussian next = Gaussian::fromMeanVar(ch.mean, ch.var);
+            const Gaussian delta = next / sites[ch.v];
+            ASSERT_TRUE(updater.push(ch.v, delta.lambda, delta.eta))
+                << "block " << block;
+            sites[ch.v] = next;
+        }
+
+        GaussianJoint resolved;
+        SolverScratch resolve_scratch;
+        solver.solveInto(sites, resolved, resolve_scratch);
+        // Marginals see the pending updates before they are flushed.
+        for (std::size_t v = 0; v < 3; ++v)
+            EXPECT_NEAR(updater.marginalVariance(static_cast<VarId>(v)),
+                        resolved.covariance(v, v),
+                        1e-9 * resolved.covariance(v, v))
+                << "block " << block << " var " << v;
+        updater.flush();
+        EXPECT_EQ(updater.pending(), 0u);
+        for (std::size_t v = 0; v < 3; ++v) {
+            EXPECT_NEAR(joint.mean[v], resolved.mean[v],
+                        1e-9 * std::abs(resolved.mean[v]))
+                << "block " << block << " var " << v;
+            // The updater maintains the lower triangle (see header).
+            for (std::size_t u = 0; u <= v; ++u)
+                EXPECT_NEAR(joint.covariance(v, u),
+                            resolved.covariance(v, u),
+                            1e-9 * std::sqrt(resolved.covariance(v, v) *
+                                             resolved.covariance(u, u)))
+                    << "block " << block << " cov(" << v << ", " << u
+                    << ")";
+        }
     }
 }
 
-TEST(GaussianSolver, Rank1RefusesIllConditionedDowndate)
+TEST(BlockedJointUpdater, RefusesIllConditionedUpdates)
 {
     FactorGraph g;
     const VarId a = g.addVariable("a", 1.0);
     g.addGaussianPrior("pa", a, 0.0, 1.0);
-
     GaussianSolver solver(g);
-    SolverScratch scratch;
-    std::vector<Gaussian> sites(1, Gaussian::fromMeanVar(0.0, 1e-4));
-    GaussianJoint joint;
-    solver.solveInto(sites, joint, scratch);
 
-    // Removing (almost) the entire site precision would amplify the
-    // joint ~1e4x: the guard must refuse and leave the joint intact.
-    const double before = joint.covariance(a, a);
-    EXPECT_FALSE(GaussianSolver::rank1SiteUpdate(
-        joint, a, -sites[a].lambda * 0.9999, 0.0, scratch));
-    EXPECT_DOUBLE_EQ(joint.covariance(a, a), before);
+    for (std::size_t block : {1u, 3u, 8u}) {
+        std::vector<Gaussian> sites(1, Gaussian::fromMeanVar(0.5, 1e-4));
+        GaussianJoint joint;
+        SolverScratch scratch;
+        solver.solveInto(sites, joint, scratch);
+        const double var_before = joint.covariance(a, a);
+        const double mean_before = joint.mean[a];
 
-    // A huge precision *increase* is refused too (cancellation guard).
-    EXPECT_FALSE(GaussianSolver::rank1SiteUpdate(
-        joint, a, 1e9 / before, 0.0, scratch));
+        BlockedJointUpdater updater(joint, scratch, block);
+        // Removing (almost) the entire site precision would amplify the
+        // joint ~1e4x: the guard must refuse and leave everything intact.
+        EXPECT_FALSE(updater.push(a, -sites[a].lambda * 0.9999, 0.0))
+            << "block " << block;
+        // A huge precision *increase* is refused too (cancellation guard).
+        EXPECT_FALSE(updater.push(a, 1e9 / var_before, 0.0))
+            << "block " << block;
+        EXPECT_EQ(updater.pending(), 0u);
+        updater.flush();
+        EXPECT_EQ(joint.covariance(a, a), var_before) << "block " << block;
+        EXPECT_EQ(joint.mean[a], mean_before) << "block " << block;
+    }
 }
 
 /** A random flush input: one zero coefficient and pending columns with
