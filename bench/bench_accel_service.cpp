@@ -122,11 +122,20 @@ runService(const sim::MicroarchDescriptor &uarch,
     // Per-run stage accounting: the registry is process-global, so
     // clear it at each run's start and scrape it at the end.
     telemetry::MetricsRegistry::global().reset();
+    // Every window's modeled execution, from the subscription stream
+    // (callbacks run serially on the hub's dispatcher thread, which
+    // the daemon joins before `execs` goes out of scope).
+    std::vector<core::WindowExecution> execs;
     service::MonitorService daemon(uarch, cfg);
     std::vector<service::SessionId> ids;
     const auto monitored = monitoredSet(uarch);
-    for (std::size_t s = 0; s < runs.size(); ++s)
+    for (std::size_t s = 0; s < runs.size(); ++s) {
         ids.push_back(daemon.open(monitored));
+        daemon.subscribe(ids.back(),
+                         [&execs](const service::WindowUpdate &u) {
+                             execs.push_back(u.execution);
+                         });
+    }
 
     // Slice-major round-robin ingest: every tenant's slice-t records
     // land before any tenant's slice t+1, the arrival pattern a
@@ -137,17 +146,12 @@ runService(const sim::MicroarchDescriptor &uarch,
     }
     daemon.quiesce();
 
+    for (service::SessionId id : ids)
+        daemon.close(id);
+    daemon.flushSubscriptions();
+
     ServiceRun out;
-    std::vector<core::WindowExecution> execs;
-    for (service::SessionId id : ids) {
-        const auto report = daemon.close(id);
-        if (!report)
-            continue;
-        out.backendName = report->posterior.backendName;
-        execs.insert(execs.end(),
-                     report->posterior.windowExecutions.begin(),
-                     report->posterior.windowExecutions.end());
-    }
+    out.backendName = daemon.stats().backendName;
     out.latency = summarize(execs);
     if (const accel::AccelBackend *accel = daemon.accelBackend()) {
         const accel::AccelPoolStats pool = accel->poolStats();

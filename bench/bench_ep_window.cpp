@@ -209,7 +209,7 @@ main()
     const std::size_t r1_iters = bench::quickMode() ? 5000 : 50000;
     {
         graph::BlockedJointUpdater updater(joint, scratch,
-                                           ep_fast.blockSize);
+                                           core::kEpBlockSize);
         t0 = now();
         for (std::size_t i = 0; i < r1_iters; ++i) {
             const auto v = static_cast<graph::VarId>(i % n);
@@ -242,7 +242,7 @@ main()
         .field("joint_size", n)
         .field("quad_kernel", core::activeQuadKernelName())
         .field("flush_kernel", graph::activeFlushKernelName())
-        .field("block_size", ep_fast.blockSize)
+        .field("block_size", core::kEpBlockSize)
         .field("us_per_window_fast", fast.usPerWindow)
         .field("us_per_window_scalar", scalar.usPerWindow)
         .field("us_per_window_dense", dense.usPerWindow)

@@ -71,12 +71,11 @@ compareEstimators(const sim::MicroarchDescriptor &uarch,
     // the raw perf result the baselines consume).
     core::BayesPerfConfig bp_cfg;
     bp_cfg.perf.seed = config.samplingSeed;
-    bp_cfg.useOverlapSchedule = config.useOverlapSchedule;
+    bp_cfg.scheduler.reserveOverlapSlot = config.useOverlapSchedule;
     core::BayesPerfSession session(uarch, bp_cfg);
     session.open(monitored);
 
-    core::OverlapScheduler scheduler(
-        uarch, {.reserveOverlapSlot = config.useOverlapSchedule});
+    core::OverlapScheduler scheduler(uarch, bp_cfg.scheduler);
     const core::ScheduleResult schedule =
         scheduler.build(session.monitored());
     sim::PerfSessionConfig perf_cfg = bp_cfg.perf;

@@ -100,7 +100,7 @@ main(int argc, char **argv)
 
     core::BayesPerfConfig cfg;
     cfg.perf.seed = seed * 3 + 1;
-    cfg.useOverlapSchedule = !round_robin;
+    cfg.scheduler.reserveOverlapSlot = !round_robin;
     core::BayesPerfSession session(uarch, cfg);
     session.open(events);
     core::BayesPerfRun run = session.measure(truth);

@@ -92,11 +92,6 @@ AccelBackend::execute(const core::WindowJob &job)
     ++engineJobs_[best];
     engineBusy_[best] += exec.serviceSeconds;
 
-    ++stats_.windowsExecuted;
-    stats_.queueWaitSeconds.push(exec.queueWaitSeconds);
-    stats_.serviceSeconds.push(exec.serviceSeconds);
-    stats_.modeledSeconds.push(exec.modeledSeconds);
-
     static telemetry::Counter &windows =
         telemetry::MetricsRegistry::global().counter(
             "backend.accel.windows");
@@ -112,13 +107,6 @@ AccelBackend::execute(const core::WindowJob &job)
     service_ns.record(
         static_cast<std::uint64_t>(exec.serviceSeconds * 1e9));
     return exec;
-}
-
-core::BackendStats
-AccelBackend::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
 }
 
 core::BackendQueueDepth
@@ -157,7 +145,6 @@ void
 AccelBackend::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = core::BackendStats{};
     std::fill(freeAt_.begin(), freeAt_.end(), 0.0);
     std::fill(engineJobs_.begin(), engineJobs_.end(), 0);
     std::fill(engineBusy_.begin(), engineBusy_.end(), 0.0);

@@ -67,7 +67,7 @@ struct AccelBackendConfig
     AcceleratorConfig engine;
 };
 
-/** Point-in-time pool statistics beyond core::BackendStats. */
+/** Point-in-time pool statistics. */
 struct AccelPoolStats
 {
     /** Jobs served by each engine. */
@@ -106,8 +106,6 @@ class AccelBackend : public core::InferenceBackend
      */
     core::WindowExecution execute(const core::WindowJob &job) override;
 
-    core::BackendStats stats() const override;
-
     /**
      * Live pool backlog on the stream clock: how long a window
      * released "now" would wait for the earliest engine.  This is the
@@ -120,7 +118,8 @@ class AccelBackend : public core::InferenceBackend
     core::BackendQueueDepth
     queueDepth(double nowSeconds = 0.0) const override;
 
-    void reset() override;
+    /** Forget all queue state (bench and test reruns). */
+    void reset();
 
     AccelPoolStats poolStats() const;
 
@@ -137,7 +136,6 @@ class AccelBackend : public core::InferenceBackend
     std::string name_;
 
     mutable std::mutex mutex_;
-    core::BackendStats stats_;
     /** Stream time each engine becomes free. */
     std::vector<double> freeAt_;
     std::vector<std::uint64_t> engineJobs_;

@@ -13,6 +13,10 @@
  * software pipeline (service sessions, window traffic, contention)
  * instead of synthetic job shapes.
  *
+ * The service's sessions dispatch windows here
+ * (service::Session::harvestWindows); the inference core knows
+ * nothing of backends.
+ *
  * Thread contract: execute() may be called concurrently from many
  * workers (one per session being drained); implementations serialize
  * internally.
@@ -23,10 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-
-#include "common/stats.h"
 
 namespace bperf {
 namespace core {
@@ -37,7 +38,7 @@ namespace core {
  */
 struct WindowJob
 {
-    /** Owning session (0 for engines outside the service). */
+    /** Owning session id. */
     std::uint64_t sessionKey = 0;
     /** Absolute index of the slice whose arrival completed the
      * window: the window's modeled release time is endSlice ticks of
@@ -100,20 +101,11 @@ struct WindowExecution
     double modeledSeconds = 0.0;
     /** 1-based position of this window in its engine's run order —
      * the stable per-session window id (WindowUpdate.windowId).
-     * 0 only for executions that never went through runWindow. */
+     * Backends leave it 0; the dispatching session stamps it. */
     std::uint64_t windowOrdinal = 0;
-    /** Observed phase stamps (engine-side fields; backends leave
-     * this default — the engine stamps it after execute()). */
+    /** Observed phase stamps (backends leave this default — the
+     * dispatching session stamps it after execute()). */
     WindowSpan span;
-};
-
-/** Aggregate accounting of one backend across every window it ran. */
-struct BackendStats
-{
-    std::uint64_t windowsExecuted = 0;
-    RunningStats queueWaitSeconds;
-    RunningStats serviceSeconds;
-    RunningStats modeledSeconds;
 };
 
 /**
@@ -162,9 +154,6 @@ class InferenceBackend
     /** Account one completed window; returns its modeled execution. */
     virtual WindowExecution execute(const WindowJob &job) = 0;
 
-    /** Aggregate statistics snapshot. */
-    virtual BackendStats stats() const = 0;
-
     /**
      * Live queue-depth snapshot.  The host path never queues, so the
      * default is an all-zero snapshot; pooled backends report their
@@ -182,27 +171,21 @@ class InferenceBackend
         (void)nowSeconds;
         return BackendQueueDepth{};
     }
-
-    /** Forget all queue state and statistics (bench reruns). */
-    virtual void reset() = 0;
 };
 
 /**
  * The host CPU path: windows execute where they always did, so the
  * modeled latency is the measured EP wall time and nothing queues.
+ * Stateless, so concurrent execute() calls need no lock.
  */
 class HostBackend : public InferenceBackend
 {
   public:
     const std::string &name() const override { return name_; }
     WindowExecution execute(const WindowJob &job) override;
-    BackendStats stats() const override;
-    void reset() override;
 
   private:
     const std::string name_ = "host";
-    mutable std::mutex mutex_;
-    BackendStats stats_;
 };
 
 } // namespace core

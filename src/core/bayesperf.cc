@@ -47,9 +47,7 @@ BayesPerfSession::measure(const sim::TruthTrace &truth)
 
     BayesPerfRun run;
 
-    SchedulerConfig sched_cfg = config_.scheduler;
-    sched_cfg.reserveOverlapSlot = config_.useOverlapSchedule;
-    OverlapScheduler scheduler(uarch_, sched_cfg);
+    OverlapScheduler scheduler(uarch_, config_.scheduler);
     run.schedule = scheduler.build(monitored_);
 
     sim::PerfSession session(uarch_, config_.perf);

@@ -27,14 +27,9 @@ struct BayesPerfConfig
 {
     sim::PerfSessionConfig perf;
     InferenceConfig inference;
+    /** scheduler.reserveOverlapSlot = false falls back to Linux
+     * round-robin packing (the scheduling ablation). */
     SchedulerConfig scheduler;
-
-    /**
-     * Use the overlap-aware schedule (the paper's design).  Disabled,
-     * the session falls back to Linux round-robin packing — the
-     * scheduling ablation.
-     */
-    bool useOverlapSchedule = true;
 };
 
 /** Everything a measurement run produces. */

@@ -18,6 +18,15 @@ using graph::GaussianSolver;
 
 namespace {
 
+/** Damping of site updates in natural parameters. */
+constexpr double kDamping = 0.7;
+/** Grid size of the tilted-moment quadrature. */
+constexpr std::size_t kQuadraturePoints = 129;
+/** Seed of the per-site MCMC seed stream. */
+constexpr std::uint64_t kMcmcSeed = 7;
+
+static_assert(kEpBlockSize <= graph::BlockedJointUpdater::kMaxBlockSize);
+
 /**
  * Grid setup shared by every quadrature entry point: cover both the
  * cavity and the likelihood bulk, then hand the uniform grid to the
@@ -85,7 +94,7 @@ momentMatchSite(const FactorGraph &graph, Site &site,
     double tilt_mean = 0.0, tilt_var = 0.0;
     if (config.method == MomentMethod::Quadrature) {
         quadMomentsOnGrid(cavity.mean(), cavity.variance(), site.loc,
-                          site.scale, site.nu, config.quadraturePoints, quad,
+                          site.scale, site.nu, kQuadraturePoints, quad,
                           tilt_mean, tilt_var);
     } else {
         tiltedMomentsMcmc(cavity.mean(), cavity.variance(), site.loc,
@@ -115,13 +124,6 @@ momentMatchSite(const FactorGraph &graph, Site &site,
     site.approx = damped;
     site_sums[v] = site_sums[v] * delta_out;
     return true;
-}
-
-std::size_t
-clampedBlockSize(const EpConfig &config)
-{
-    return std::min(std::max<std::size_t>(config.blockSize, 1),
-                    graph::BlockedJointUpdater::kMaxBlockSize);
 }
 
 } // namespace
@@ -296,24 +298,10 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
     const QuadKernelFn quad =
         config_.simdQuadrature ? activeQuadKernel() : quadMomentsScalar;
     const bool incremental = config_.jointStrategy == JointStrategy::Rank1;
-    graph::BlockedJointUpdater updater(
-        ws.joint_, ws.scratch_, incremental ? clampedBlockSize(config_) : 1);
+    graph::BlockedJointUpdater updater(ws.joint_, ws.scratch_,
+                                       incremental ? kEpBlockSize : 1);
 
-    std::size_t updates_since_refactor = 0;
-    auto full_solve = [&]() {
-        // Anything pending is superseded by the fresh factorization,
-        // and the per-variable site sums are rebuilt from scratch so
-        // the re-factorized joint carries no additive drift.
-        updater.discard();
-        ws.siteByVar_.assign(n, Gaussian::flat());
-        for (const auto &s : ws.sites_)
-            ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
-        solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-        ++result.fullSolves;
-        updates_since_refactor = 0;
-    };
-
-    Rng rng(config_.seed);
+    Rng rng(kMcmcSeed);
 
     // Damping protects the early sweeps, where parallel conflicts
     // between coupled sites are large; near the fixed point it only
@@ -321,7 +309,7 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
     // within 20x tolerance AND still shrinking, run undamped; any
     // sweep that fails to shrink (e.g. an undamped limit cycle)
     // restores the damped factor.
-    double damping = config_.damping;
+    double damping = kDamping;
     double prev_change = 1e300;
 
     for (std::size_t sweep = 0; sweep < config_.maxSweeps; ++sweep) {
@@ -353,16 +341,20 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
             if (!incremental) {
                 solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
                 ++result.fullSolves;
-            } else if (config_.refactorInterval > 0 &&
-                       updates_since_refactor >= config_.refactorInterval) {
-                full_solve();
             } else if (updater.push(v, delta.lambda, delta.eta)) {
                 ++result.rank1Updates;
-                ++updates_since_refactor;
             } else {
                 // Downdate refused (near-improper joint): recover with
-                // a fresh factorization.
-                full_solve();
+                // a fresh factorization.  Anything pending is
+                // superseded by it, and the per-variable site sums are
+                // rebuilt from scratch so the re-factorized joint
+                // carries no additive drift.
+                updater.discard();
+                ws.siteByVar_.assign(n, Gaussian::flat());
+                for (const auto &s : ws.sites_)
+                    ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
+                solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
+                ++result.fullSolves;
             }
         }
 
@@ -373,7 +365,7 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
         damping = (max_rel_change < 20.0 * config_.tolerance &&
                    max_rel_change < prev_change)
                       ? 1.0
-                      : config_.damping;
+                      : kDamping;
         prev_change = max_rel_change;
     }
 

@@ -11,16 +11,16 @@
  *   site'   = tilted / cavity, damped            (Alg. 1 lines 5-7)
  *
  * Hot-path structure: tilted moments run through the SIMD quadrature
- * kernel (quad_kernel.h, AVX2/NEON with a bit-identical scalar
- * fallback); sites update sequentially against a joint that is kept
- * current by blocked Sherman-Morrison downdates of the covariance
+ * kernel (quad_kernel.h, AVX2 with a bit-identical scalar fallback);
+ * sites update sequentially against a joint that is kept current by
+ * blocked Sherman-Morrison downdates of the covariance
  * (BlockedJointUpdater: O(n^2) per site with the triangle sweep
- * amortized over EpConfig::blockSize sites, instead of a re-solve),
- * with a periodic full re-factorization for numerical hygiene
- * (EpConfig::refactorInterval; the envelope solve of graph/exact.h).
- * JointStrategy::DenseResolve replaces every incremental update with
- * a full re-solve on the same schedule; the golden-posterior suite
- * pins the two paths to each other within 1e-6.
+ * amortized over a block of 8 sites, instead of a re-solve).  A full
+ * re-factorization (the envelope solve of graph/exact.h) runs only
+ * when a downdate is refused.  JointStrategy::DenseResolve replaces
+ * every incremental update with a full re-solve on the same schedule;
+ * the golden-posterior suite pins the two paths to each other within
+ * 1e-6.
  *
  * Callers that run EP repeatedly (windowed inference) pass an
  * EpWorkspace (and optionally a persistent EpResult) so steady-state
@@ -51,8 +51,8 @@ enum class MomentMethod {
 enum class JointStrategy {
     /**
      * Blocked Sherman-Morrison update per site change, full
-     * re-factorization every refactorInterval updates or when a
-     * downdate is too ill-conditioned.  The fast path.
+     * re-factorization when a downdate is too ill-conditioned.  The
+     * fast path.
      */
     Rank1,
     /**
@@ -69,27 +69,10 @@ struct EpConfig
     std::size_t maxSweeps = 8;
     /** Convergence threshold on relative site-mean change. */
     double tolerance = 1e-4;
-    /** Damping of site updates in natural parameters. */
-    double damping = 0.7;
     MomentMethod method = MomentMethod::Quadrature;
     JointStrategy jointStrategy = JointStrategy::Rank1;
-    /**
-     * Incremental updates applied between full re-factorizations of
-     * the joint (numerical hygiene for the Sherman-Morrison chain).
-     * 0 re-factorizes only when a downdate is refused.
-     */
-    std::size_t refactorInterval = 256;
-    std::size_t quadraturePoints = 129;
     std::size_t mcmcSamples = 400;
     std::size_t mcmcBurnin = 100;
-    std::uint64_t seed = 7;
-    /**
-     * Sites per covariance-triangle sweep of the blocked joint
-     * updater (1 = classic one-at-a-time rank-1 updates; the blocked
-     * algebra at any size matches the sequential chain exactly).
-     * Clamped to BlockedJointUpdater::kMaxBlockSize.
-     */
-    std::size_t blockSize = 8;
     /**
      * Gauss grid evaluation via the runtime-dispatched SIMD kernel
      * (true) or the scalar reference kernel (false).  The two are
@@ -112,7 +95,8 @@ struct EpResult
     std::size_t momentEvaluations = 0;
     /** Incremental (blocked rank-1) joint updates applied. */
     std::size_t rank1Updates = 0;
-    /** Full joint factorizations (initial solve + refactorizations). */
+    /** Full joint factorizations (initial solve + recoveries from
+     * refused downdates). */
     std::size_t fullSolves = 0;
     /** Covariance-triangle sweeps of the blocked updater. */
     std::size_t blockFlushes = 0;
@@ -157,6 +141,10 @@ class EpWorkspace
     std::size_t grows_ = 0;
     std::size_t runs_ = 0;
 };
+
+/** Sites per covariance-triangle sweep of the fast path's blocked
+ * joint updater (graph::BlockedJointUpdater). */
+inline constexpr std::size_t kEpBlockSize = 8;
 
 /**
  * Runs EP over a factor graph.

@@ -302,41 +302,19 @@ WindowedInference::runWindow(std::size_t w_len)
     const double window_seconds =
         std::chrono::duration<double>(t_end - t_start).count();
     inferSeconds_ += window_seconds;
-    pendingWindowSeconds_.push_back(window_seconds);
+    windows_.push_back(
+        {.ordinal = windowsRun_,
+         .lastSlice = w0 + w_len - 1,
+         .slices = w_len,
+         .numVariables = model.graph().numVariables(),
+         .numSites =
+             model.graph().factorsOfKind(graph::FactorKind::StudentT).size(),
+         .sweeps = ep_result.sweeps,
+         .hostSeconds = window_seconds,
+         .epStartNanos = spanNanos(t_start),
+         .epEndNanos = spanNanos(t_end)});
 
-    // Hand the completed window to the execution backend.  The
-    // posterior above is final either way; the backend only decides
-    // where the window would have executed and stamps that cost.
-    WindowJob job;
-    job.sessionKey = config_.backendSessionKey;
-    job.endSlice =
-        std::max(sliceOrigin_ + w0 + w_len - 1, releaseFloor_);
-    job.windowSlices = w_len;
-    job.numVariables = model.graph().numVariables();
-    job.numSites = model.graph()
-                       .factorsOfKind(graph::FactorKind::StudentT)
-                       .size();
-    job.numSweeps = ep_result.sweeps;
-    // Streamed inputs: per-site window reads + per-variable g(theta).
-    job.inputBytes = 24 * job.numSites + 8 * job.numVariables;
-    job.hostSeconds = window_seconds;
-
-    WindowExecution exec;
-    if (config_.backend != nullptr) {
-        exec = config_.backend->execute(job);
-    } else {
-        exec.endSlice = job.endSlice;
-        exec.serviceSeconds = window_seconds;
-        exec.modeledSeconds = window_seconds;
-    }
-    exec.windowOrdinal = windowsRun_;
     if (telemetry::enabled()) {
-        exec.span.traceId = telemetry::nextTraceId();
-        exec.span.ingestNanos = recIngestNanos_;
-        exec.span.assembleNanos = recAssembleNanos_;
-        exec.span.epStartNanos = spanNanos(t_start);
-        exec.span.epEndNanos = spanNanos(t_end);
-
         auto &registry = telemetry::MetricsRegistry::global();
         static telemetry::Counter &ep_windows =
             registry.counter("ep.windows");
@@ -357,31 +335,13 @@ WindowedInference::runWindow(std::size_t w_len)
         ep_window_ns.record(
             static_cast<std::uint64_t>(window_seconds * 1e9));
     }
-    executions_.push_back(exec);
-    pendingExecutions_.push_back(exec);
-    if (config_.retainSlices > 0 &&
-        executions_.size() > config_.retainSlices) {
-        executions_.erase(executions_.begin(),
-                          executions_.end() -
-                              static_cast<std::ptrdiff_t>(
-                                  config_.retainSlices));
-    }
 }
 
-std::vector<double>
-WindowedInference::takeWindowSeconds()
+void
+WindowedInference::takeWindows(std::vector<WindowRecord> &out)
 {
-    std::vector<double> out = std::move(pendingWindowSeconds_);
-    pendingWindowSeconds_.clear();
-    return out;
-}
-
-std::vector<WindowExecution>
-WindowedInference::takeWindowExecutions()
-{
-    std::vector<WindowExecution> out = std::move(pendingExecutions_);
-    pendingExecutions_.clear();
-    return out;
+    out.clear();
+    out.swap(windows_);
 }
 
 InferenceResult
@@ -402,10 +362,6 @@ WindowedInference::takeResult()
     result.wallSeconds = inferSeconds_;
     result.epWorkspaceAllocations = epWorkspace_.totalAllocations();
     result.modelAllocations = modelAllocations();
-    result.backendName =
-        config_.backend != nullptr ? config_.backend->name() : "host";
-    result.windowExecutions = std::move(executions_);
-    executions_.clear();
     // The engine is spent: reset the stream cursors so stray reads
     // fail fast instead of indexing the moved-out series.
     series_.assign(events_.size(), {});

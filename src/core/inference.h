@@ -21,12 +21,11 @@
 #ifndef BPERF_CORE_INFERENCE_H
 #define BPERF_CORE_INFERENCE_H
 
+#include <cstdint>
 #include <deque>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "core/backend.h"
 #include "core/ep.h"
 #include "core/model_builder.h"
 #include "sim/microarch.h"
@@ -64,19 +63,6 @@ struct InferenceConfig
      * the index of their first retained slice.
      */
     std::size_t retainSlices = 0;
-
-    /**
-     * Execution backend completed windows are accounted against
-     * (non-owning, shared across sessions; the service wires it).
-     * nullptr stamps host timing without any shared accounting —
-     * numerics are identical either way, backends only model where
-     * the window would have run and what that costs.
-     */
-    InferenceBackend *backend = nullptr;
-
-    /** Session key stamped on backend jobs (the service sets this to
-     * the session id; 0 outside the service). */
-    std::uint64_t backendSessionKey = 0;
 };
 
 /** Posterior of one event at one slice. */
@@ -124,23 +110,38 @@ struct InferenceResult
      */
     std::size_t modelAllocations = 0;
 
-    /** Backend that executed the run's windows ("host" when none was
-     * configured). */
-    std::string backendName = "host";
-    /**
-     * Modeled execution of each window, in run order (capped to the
-     * most recent retainSlices entries under bounded retention).  On
-     * the host path modeledSeconds is the measured EP wall time; on
-     * the accelerator path it is queue wait + transfer + compute of
-     * the simulated engine pool.
-     */
-    std::vector<WindowExecution> windowExecutions;
-
     /** Posterior-mean series for one event (the paper's MLE output). */
     std::vector<double> meanSeries(sim::EventId event) const;
 
     /** Posterior-stddev series for one event. */
     std::vector<double> stddevSeries(sim::EventId event) const;
+};
+
+/**
+ * What one window run leaves for the layer that dispatches windows
+ * (the service's sessions, which place it on their stream clock and
+ * hand it to an execution backend).  The window's posterior is
+ * already in the engine's series when its record is appended.
+ */
+struct WindowRecord
+{
+    /** 1-based position of the window in the engine's run order. */
+    std::uint64_t ordinal = 0;
+    /** Engine-local index of the window's last slice. */
+    std::size_t lastSlice = 0;
+    /** Window length in slices. */
+    std::size_t slices = 0;
+    /** Joint size of the window's factor graph. */
+    std::size_t numVariables = 0;
+    /** Student-t measurement sites EP refreshed. */
+    std::size_t numSites = 0;
+    /** EP sweeps run. */
+    std::size_t sweeps = 0;
+    /** Measured wall time of the window run (seconds). */
+    double hostSeconds = 0.0;
+    /** Start and end of the window run (telemetry::nowNanos() base). */
+    std::uint64_t epStartNanos = 0;
+    std::uint64_t epEndNanos = 0;
 };
 
 /**
@@ -196,44 +197,6 @@ class WindowedInference
 
     /** Window length k in slices (resolved from the config). */
     std::size_t windowSlices() const { return k_; }
-
-    /**
-     * Offset between engine-local slice indices and the producer's
-     * absolute slice clock; added to backend job release times so a
-     * stream that started mid-run keeps absolute release times.
-     * Posterior series indexing stays engine-local.
-     */
-    void setSliceOrigin(std::size_t origin) { sliceOrigin_ = origin; }
-    std::size_t sliceOrigin() const { return sliceOrigin_; }
-
-    /**
-     * Earliest absolute slice a window completed now may be released
-     * at (monotone; lower values are ignored).  A window is dispatched
-     * to the backend when the record completing it arrives, so a
-     * stream that stalled (backpressure, admission shedding) and then
-     * jumped forward releases its catch-up windows at the jump — not
-     * retroactively at slice indices whose wall-clock time already
-     * passed, which would charge them the whole interim backlog as
-     * queue wait.
-     */
-    void setReleaseFloor(std::size_t absolute_slice)
-    {
-        releaseFloor_ = std::max(releaseFloor_, absolute_slice);
-    }
-
-    /**
-     * Phase stamps of the record whose arrival is driving the
-     * current push() (telemetry::nowNanos() base; 0 = unobserved).
-     * The service's streaming layer sets them before each push so
-     * windows completed by that record carry ring-to-EP latency in
-     * their WindowSpan; finish()-tail windows keep zero stamps.
-     */
-    void setRecordStamps(std::uint64_t ingest_nanos,
-                         std::uint64_t assemble_nanos)
-    {
-        recIngestNanos_ = ingest_nanos;
-        recAssembleNanos_ = assemble_nanos;
-    }
 
     /** Total slices pushed so far. */
     std::size_t slicesSeen() const { return numSlices_; }
@@ -291,13 +254,13 @@ class WindowedInference
     /** Cumulative wall time spent inside window EP runs. */
     double inferSeconds() const { return inferSeconds_; }
 
-    /** Wall time of each window run since the last call (latency
-     * sampling hook for the service's statistics). */
-    std::vector<double> takeWindowSeconds();
-
-    /** Modeled backend execution of each window run since the last
-     * call (the service's modeled-latency statistics hook). */
-    std::vector<WindowExecution> takeWindowExecutions();
+    /**
+     * Move the records of the windows run since the last call into
+     * `out` (oldest first), replacing its contents.  The buffers are
+     * swapped, so a caller that keeps passing the same vector
+     * allocates nothing in steady state.
+     */
+    void takeWindows(std::vector<WindowRecord> &out);
 
     /** Assemble the run's result (moves the retained posterior
      * series).  Requires finish(); the engine is spent afterwards. */
@@ -324,10 +287,6 @@ class WindowedInference
     std::size_t numSlices_ = 0;  // total pushed
     std::size_t nextStart_ = 0;  // next window's first slice
     std::size_t coveredEnd_ = 0; // posterior exists for [0, coveredEnd_)
-    std::size_t sliceOrigin_ = 0;
-    std::size_t releaseFloor_ = 0;
-    std::uint64_t recIngestNanos_ = 0;
-    std::uint64_t recAssembleNanos_ = 0;
     bool finished_ = false;
 
     /** Reused across windows so steady-state EP runs allocate nothing. */
@@ -358,12 +317,8 @@ class WindowedInference
     std::size_t epBlockFlushes_ = 0;
     std::size_t epSkippedUpdates_ = 0;
     double inferSeconds_ = 0.0;
-    std::vector<double> pendingWindowSeconds_;
-
-    /** Per-window backend executions: the full run (for takeResult)
-     * and the tail not yet taken by takeWindowExecutions(). */
-    std::vector<WindowExecution> executions_;
-    std::vector<WindowExecution> pendingExecutions_;
+    /** Windows run but not yet taken by takeWindows(). */
+    std::vector<WindowRecord> windows_;
 };
 
 /**

@@ -78,9 +78,6 @@ activeQuadKernel()
     if (cpuHasAvx2Fma())
         return quadMomentsAvx2;
 #endif
-#if defined(BPERF_SIMD) && defined(__aarch64__)
-    return quadMomentsNeon;
-#endif
     return quadMomentsScalar;
 }
 
@@ -90,9 +87,6 @@ activeQuadKernelName()
 #if defined(BPERF_SIMD) && defined(__x86_64__)
     if (activeQuadKernel() == quadMomentsAvx2)
         return "avx2";
-#endif
-#if defined(BPERF_SIMD) && defined(__aarch64__)
-    return "neon";
 #endif
     return "scalar";
 }

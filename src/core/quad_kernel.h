@@ -1,8 +1,7 @@
 /**
  * @file
- * The EP moment-matching quadrature kernel, in runtime-dispatched
- * SIMD variants (AVX2 on x86-64, NEON on aarch64) with a scalar
- * fallback.
+ * The EP moment-matching quadrature kernel: a runtime-dispatched
+ * AVX2 variant on x86-64 with a portable scalar fallback.
  *
  * All variants evaluate the same two-pass algorithm over the grid
  *   x_i = lo + step * i,  i = 0 .. points-1:
@@ -16,9 +15,9 @@
  * check rides on.  Outputs are the normalized tilted mean/variance.
  *
  * Dispatch: activeQuadKernel() probes the CPU once (AVX2+FMA via
- * cpuid on x86-64; NEON is baseline on aarch64) and falls back to the
- * scalar kernel when SIMD is unavailable or compiled out
- * (-DBPERF_SIMD=OFF).
+ * cpuid) and falls back to the scalar kernel when SIMD is
+ * unavailable or compiled out (-DBPERF_SIMD=OFF), and on every other
+ * ISA.
  */
 
 #ifndef BPERF_CORE_QUAD_KERNEL_H
@@ -60,17 +59,12 @@ void quadMomentsScalar(const QuadParams &params, double &mean_out,
 /** Best kernel for this CPU (scalar when SIMD is off/absent). */
 QuadKernelFn activeQuadKernel();
 
-/** Name of the active kernel: "avx2", "neon" or "scalar". */
+/** Name of the active kernel: "avx2" or "scalar". */
 const char *activeQuadKernelName();
 
 #if defined(BPERF_SIMD) && defined(__x86_64__)
 /** AVX2+FMA kernel (defined in quad_kernel_avx2.cc). */
 void quadMomentsAvx2(const QuadParams &params, double &mean_out,
-                     double &var_out);
-#endif
-#if defined(BPERF_SIMD) && defined(__aarch64__)
-/** NEON kernel (defined in quad_kernel_neon.cc). */
-void quadMomentsNeon(const QuadParams &params, double &mean_out,
                      double &var_out);
 #endif
 

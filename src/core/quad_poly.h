@@ -2,8 +2,8 @@
  * @file
  * Polynomial exp/log kernels shared by every quadrature backend.
  *
- * The EP quadrature kernel (quad_kernel.*) exists in scalar, AVX2 and
- * NEON variants that must agree to the last bit: the golden suite
+ * The EP quadrature kernel (quad_kernel.*) exists in scalar and AVX2
+ * variants that must agree to the last bit: the golden suite
  * pins SIMD-vs-scalar posteriors to <= 1e-10, and the cheapest way to
  * guarantee that is to make all variants run the *same* arithmetic —
  * identical range reductions, identical coefficients, identical FMA

@@ -72,14 +72,9 @@ MonitorService::open(const std::string &tenant,
     std::vector<sim::EventId> monitored =
         core::resolveMonitoredSet(uarch_, events);
 
-    SessionConfig cfg =
+    const SessionConfig &cfg =
         overrides != nullptr ? *overrides : config_.sessionDefaults;
     const SessionId id = registry_.allocateId();
-    // Wire the shared execution backend into the session unless the
-    // caller overrode it with its own.
-    if (cfg.streaming.inference.backend == nullptr)
-        cfg.streaming.inference.backend = backend_.get();
-    cfg.streaming.inference.backendSessionKey = id;
     // A session is exported through the snapshot shim only if a slot
     // is free and its event set fits one; otherwise it still runs,
     // un-exported, and its windows count as snapshot drops.
@@ -102,8 +97,10 @@ MonitorService::open(const std::string &tenant,
         if (config_.trace != nullptr)
             config_.trace->addWindow(u.sessionId, u.windowId, u.execution);
     };
-    registry_.insert(std::make_shared<Session>(
-        id, uarch_, std::move(monitored), cfg, tenant, std::move(sink)));
+    // The session dispatches its windows to the service's backend.
+    registry_.insert(std::make_shared<Session>(id, uarch_, std::move(monitored),
+                                               cfg, *backend_, tenant,
+                                               std::move(sink)));
     {
         std::lock_guard<std::mutex> lock(closedMutex_);
         ++sessionsOpened_;
@@ -316,7 +313,6 @@ MonitorService::stats() const
     out.sessionsClosed = sessionsClosed_;
     out.totals = closedTotals_;
     out.backendName = backend_->name();
-    out.backend = backend_->stats();
     // Read the backlog at the controller's stream clock so an idle
     // service reports a drained queue, not the last-release snapshot.
     out.backendQueue = admission_.backendQueue();

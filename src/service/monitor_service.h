@@ -104,9 +104,9 @@ struct ServiceStats
     std::size_t sessionsLive = 0;
     /** Sums over every session ever opened. */
     SessionStats totals;
-    /** Active execution backend and its cross-session accounting. */
+    /** Active execution backend; its per-window accounting is in
+     * totals (windowsRun, modeledWindowSeconds, backendQueueSeconds). */
     std::string backendName;
-    core::BackendStats backend;
     /** Live modeled queue depth of the backend's engine pool. */
     core::BackendQueueDepth backendQueue;
     /** Per-tenant admission accounting (empty when disabled). */
@@ -298,11 +298,6 @@ class MonitorService
     const sim::MicroarchDescriptor &uarch() const { return uarch_; }
     /** The configuration the service was built with (immutable). */
     const MonitorServiceConfig &config() const { return config_; }
-
-    /** The shared execution backend sessions run their windows on.
-     * Implementations are internally synchronized. */
-    core::InferenceBackend &backend() { return *backend_; }
-    const core::InferenceBackend &backend() const { return *backend_; }
 
     /** Engine-pool view of the backend; nullptr on the host path. */
     const accel::AccelBackend *accelBackend() const

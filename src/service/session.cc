@@ -1,5 +1,7 @@
 #include "service/session.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
 
@@ -62,10 +64,11 @@ SessionStats::merge(const SessionStats &other)
 
 Session::Session(SessionId id, const sim::MicroarchDescriptor &uarch,
                  std::vector<sim::EventId> events, SessionConfig config,
-                 std::string tenant, WindowSink window_sink)
+                 core::InferenceBackend &backend, std::string tenant,
+                 WindowSink window_sink)
     : id_(id), tenant_(std::move(tenant)), queue_(config.queueCapacity),
       inference_(uarch, std::move(events), config.streaming),
-      windowSink_(std::move(window_sink))
+      backend_(backend), windowSink_(std::move(window_sink))
 {
 }
 
@@ -93,12 +96,18 @@ Session::drain()
             if (now > rec->ingestNanos)
                 ringWaitHistogram().record(now - rec->ingestNanos);
         }
+        // A window is released when the record completing it arrives,
+        // so a stream that stalled (backpressure, admission shedding)
+        // and then jumped forward releases its catch-up windows at the
+        // jump — not at slice indices whose time already passed, which
+        // would charge them the whole interim backlog as queue wait.
+        releaseFloor_ = std::max<std::size_t>(releaseFloor_, rec->slice);
         // Publish per completed window, not per drain pass: a long
         // backlog drains in one pass, and pollers should see
         // posteriors as soon as the first window lands.
         if (inference_.consume(*rec) > 0) {
             publishPosteriors();
-            harvestWindows();
+            harvestWindows(rec->ingestNanos, inference_.assembledNanos());
         }
         ++drained;
     }
@@ -111,40 +120,26 @@ Session::finishStream()
 {
     if (inference_.finish() > 0) {
         publishPosteriors();
-        harvestWindows();
+        // Tail windows have no triggering record.
+        harvestWindows(0, 0);
     }
     publishStats(/*drain_pass=*/false);
 }
 
 /**
- * Consume the engine's per-window latency samples: fold them into the
- * published statistics and emit one WindowUpdate per window to the
- * sink (subscriptions, admission in-flight accounting).  Runs on the
- * thread that ran the windows (worker or closer), so the engine reads
- * need no lock.
+ * Dispatch the windows the engine just ran: each becomes a WindowJob
+ * on the producer's slice clock, executes on the shared backend, is
+ * folded into the published statistics and goes out as one
+ * WindowUpdate to the sink (subscriptions, admission in-flight
+ * accounting).  Runs on the thread that ran the windows (worker or
+ * closer), so the engine reads need no lock.
  */
 void
-Session::harvestWindows()
+Session::harvestWindows(std::uint64_t ingest_nanos,
+                        std::uint64_t assemble_nanos)
 {
-    const std::vector<double> window_seconds =
-        inference_.takeWindowSeconds();
-    const std::vector<core::WindowExecution> executions =
-        inference_.takeWindowExecutions();
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        for (double seconds : window_seconds)
-            stats_.windowSeconds.push(seconds);
-        for (const auto &exec : executions) {
-            stats_.modeledWindowSeconds.push(exec.modeledSeconds);
-            stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
-        }
-    }
-    if (executions.empty())
-        return;
-    if (windowSink_ == nullptr) {
-        windowsReported_ += executions.size();
-        return;
-    }
+    inference_.takeWindows(windows_);
+    const bool traced = telemetry::enabled();
 
     // The latest posterior is a fine per-window summary here: windows
     // complete one at a time in slice order, so all but the last
@@ -152,19 +147,46 @@ Session::harvestWindows()
     // several window boundaries in one record is impossible, but a
     // finish() tail can run two) share the final snapshot.
     WindowUpdate update;
-    update.sessionId = id_;
-    update.events = inference_.events();
-    update.posterior.reserve(update.events.size());
-    {
+    if (windowSink_ != nullptr) {
+        update.sessionId = id_;
+        update.events = inference_.events();
         std::lock_guard<std::mutex> lock(publishMutex_);
         update.posterior = latest_;
     }
-    for (const auto &exec : executions) {
+    for (const core::WindowRecord &window : windows_) {
+        core::WindowJob job;
+        job.sessionKey = id_;
+        job.endSlice = std::max(inference_.originSlice() + window.lastSlice,
+                                releaseFloor_);
+        job.windowSlices = window.slices;
+        job.numVariables = window.numVariables;
+        job.numSites = window.numSites;
+        job.numSweeps = window.sweeps;
+        // Streamed inputs: per-site window reads + per-variable g(theta).
+        job.inputBytes = 24 * window.numSites + 8 * window.numVariables;
+        job.hostSeconds = window.hostSeconds;
+        core::WindowExecution exec = backend_.execute(job);
+        exec.windowOrdinal = window.ordinal;
+        if (traced)
+            exec.span = {.traceId = telemetry::nextTraceId(),
+                         .ingestNanos = ingest_nanos,
+                         .assembleNanos = assemble_nanos,
+                         .epStartNanos = window.epStartNanos,
+                         .epEndNanos = window.epEndNanos};
+        {
+            std::lock_guard<std::mutex> lock(statsMutex_);
+            stats_.windowSeconds.push(window.hostSeconds);
+            stats_.modeledWindowSeconds.push(exec.modeledSeconds);
+            stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
+        }
+
         update.windowIndex = windowsReported_++;
+        if (windowSink_ == nullptr)
+            continue;
         update.windowId = exec.windowOrdinal;
         update.endSlice = exec.endSlice;
         update.execution = exec;
-        if (telemetry::enabled()) {
+        if (traced) {
             update.execution.span.publishNanos = telemetry::nowNanos();
             windowSink_(update);
             const std::uint64_t after = telemetry::nowNanos();

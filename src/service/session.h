@@ -6,7 +6,10 @@
  * SPSC sample ring its producer writes into (perf mmap semantics —
  * drop-on-full backpressure), the streaming windowed-inference engine
  * a worker drains it into, and the scheduling/statistics state the
- * service uses to multiplex many sessions over few workers.
+ * service uses to multiplex many sessions over few workers.  It is
+ * also where completed windows meet the stream clock: each one is
+ * dispatched to the service's execution backend and stamped with its
+ * trip through the pipeline before it is published.
  *
  * Thread roles:
  *   - exactly one producer thread calls offer();
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "core/backend.h"
 #include "service/streaming_inference.h"
 #include "service/subscription.h"
 #include "sim/ring_buffer.h"
@@ -110,9 +114,12 @@ class Session
      */
     using WindowSink = std::function<void(const WindowUpdate &)>;
 
+    /** `backend` is the service's shared execution backend; it must
+     * outlive the session. */
     Session(SessionId id, const sim::MicroarchDescriptor &uarch,
             std::vector<sim::EventId> events, SessionConfig config,
-            std::string tenant = {}, WindowSink window_sink = nullptr);
+            core::InferenceBackend &backend, std::string tenant = {},
+            WindowSink window_sink = nullptr);
 
     SessionId id() const { return id_; }
     /** Admission-control tenant this session belongs to. */
@@ -160,16 +167,25 @@ class Session
   private:
     void publishPosteriors();
     void publishStats(bool drain_pass);
-    /** Per-window stats + subscription updates after windows ran. */
-    void harvestWindows();
+    /** Dispatch, stamp, account and publish the windows just run;
+     * the stamps are those of the record that completed them (0 for
+     * finish() tail windows). */
+    void harvestWindows(std::uint64_t ingest_nanos,
+                        std::uint64_t assemble_nanos);
 
     const SessionId id_;
     const std::string tenant_;
     sim::RingBuffer queue_;
     StreamingInference inference_;
+    core::InferenceBackend &backend_;
     WindowSink windowSink_;
     /** Windows already handed to the sink (completion counter). */
     std::uint64_t windowsReported_ = 0;
+    /** Highest producer slice drained: the earliest release time of
+     * a window completed now. */
+    std::size_t releaseFloor_ = 0;
+    /** Reused buffer for the engine's window records. */
+    std::vector<core::WindowRecord> windows_;
 
     /** Guards latest_ / latestValid_ (cross-thread posterior reads). */
     mutable std::mutex publishMutex_;

@@ -20,20 +20,7 @@ StreamingInference::consume(const sim::PerfRecord &rec)
 {
     ready_.clear();
     assembler_.feed(rec, ready_);
-    // A session attached mid-stream starts at its first record's
-    // slice; hand that offset to the engine so backend release times
-    // stay on the producer's absolute slice clock.  The record also
-    // floors release times: windows it completes (including catch-up
-    // windows over shed/stalled stretches) dispatch now, not in the
-    // past.
-    engine_.setSliceOrigin(assembler_.originSlice());
-    engine_.setReleaseFloor(rec.slice);
-    // Windows completed by this record carry its ring-to-drain phase
-    // stamps in their WindowSpan (finish()-tail windows stay
-    // unstamped: no record drives them).
-    engine_.setRecordStamps(rec.ingestNanos, telemetry::enabled()
-                                                 ? telemetry::nowNanos()
-                                                 : 0);
+    assembledNanos_ = telemetry::enabled() ? telemetry::nowNanos() : 0;
     std::size_t windows = 0;
     for (const auto &slice : ready_)
         windows += engine_.push(slice);
@@ -45,9 +32,6 @@ StreamingInference::finish()
 {
     ready_.clear();
     assembler_.flush(ready_);
-    // Tail windows have no triggering record: leave spans unstamped
-    // rather than inheriting the last consumed record's stamps.
-    engine_.setRecordStamps(0, 0);
     std::size_t windows = 0;
     for (const auto &slice : ready_)
         windows += engine_.push(slice);

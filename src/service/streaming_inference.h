@@ -39,8 +39,8 @@ struct StreamingConfig
     /**
      * Start the stream at the first record's slice instead of slice 0
      * (see SliceAssembler).  A session opened mid-run then begins at
-     * its attach time — no retroactive unobserved slices, and backend
-     * window releases keep the producer's absolute slice clock.
+     * its attach time — no retroactive unobserved slices; originSlice()
+     * maps engine slices back to the producer's absolute slice clock.
      */
     bool alignToFirstRecord = true;
 };
@@ -81,17 +81,21 @@ class StreamingInference
     /** Slice-level streaming engine (posterior series, counters). */
     const core::WindowedInference &engine() const { return engine_; }
 
-    /** Per-window EP wall times since the last call (stats hook). */
-    std::vector<double> takeWindowSeconds()
+    /** Records of the windows run since the last call (see
+     * WindowedInference::takeWindows). */
+    void takeWindows(std::vector<core::WindowRecord> &out)
     {
-        return engine_.takeWindowSeconds();
+        engine_.takeWindows(out);
     }
 
-    /** Per-window modeled backend executions since the last call. */
-    std::vector<core::WindowExecution> takeWindowExecutions()
-    {
-        return engine_.takeWindowExecutions();
-    }
+    /** Producer slice of engine slice 0 (see
+     * StreamingConfig::alignToFirstRecord). */
+    std::size_t originSlice() const { return assembler_.originSlice(); }
+
+    /** When the last consume()d record had been fed to the slice
+     * assembler (telemetry::nowNanos() base; 0 with telemetry off):
+     * the assemble stamp of the windows that record completed. */
+    std::uint64_t assembledNanos() const { return assembledNanos_; }
 
     std::uint64_t recordsConsumed() const
     {
@@ -120,6 +124,7 @@ class StreamingInference
     SliceAssembler assembler_;
     core::WindowedInference engine_;
     std::vector<core::SliceMeasurements> ready_;
+    std::uint64_t assembledNanos_ = 0;
 };
 
 } // namespace service

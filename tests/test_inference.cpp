@@ -1,5 +1,6 @@
 /** @file Tests for the window model and end-to-end inference. */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -262,6 +263,54 @@ TEST(WindowedInference, CountsUnconvergedWindows)
     EXPECT_LT(run_window(200), 200u);
     EXPECT_EQ(registry.counterValue("ep.unconverged_windows"), before + 1);
     telemetry::setEnabled(was_enabled);
+}
+
+TEST(WindowedInference, LongRank1ChainsMatchDenseResolve)
+{
+    // 13 events at k = 6 run more blocked rank-1 updates per window
+    // (>= 256) than any golden graph.  With no periodic
+    // re-factorization the Sherman-Morrison chain spans the whole
+    // window, so it must still track the full re-solve oracle.
+    const auto uarch = sim::makeX86Skylake();
+    std::vector<EventId> events = uarch.fixedEvents();
+    for (Role r : {Role::LlcMiss, Role::L2Miss, Role::L1DMiss, Role::Loads,
+                   Role::Stores, Role::Branches, Role::BranchMisses,
+                   Role::StallMem, Role::StallTotal, Role::DramBytes})
+        events.push_back(uarch.idForRole(r));
+    ASSERT_EQ(events.size(), 13u);
+
+    for (const char *workload : {"KMeans", "Sort", "WordCount"}) {
+        const sim::GroundTruthGenerator gen(uarch, wl::makeHibench(workload));
+        const sim::TruthTrace truth = gen.generate(48, 5);
+        sim::PerfSessionConfig perf_cfg;
+        perf_cfg.seed = 17;
+        sim::PerfSession perf(uarch, perf_cfg);
+        const sim::PerfResult run = perf.runRoundRobin(truth, events);
+
+        InferenceConfig cfg;
+        cfg.windowSlices = 6;
+        const InferenceResult fast = InferenceEngine(uarch, cfg).infer(run);
+        cfg.ep.jointStrategy = JointStrategy::DenseResolve;
+        const InferenceResult dense = InferenceEngine(uarch, cfg).infer(run);
+
+        EXPECT_GE(fast.epRank1Updates, 256 * fast.windowsRun) << workload;
+        EXPECT_EQ(dense.epRank1Updates, 0u) << workload;
+        ASSERT_EQ(fast.series.size(), dense.series.size());
+        double worst = 0.0;
+        auto rel = [](double a, double b) {
+            return std::abs(a - b) / std::max(std::abs(b), 1e-30);
+        };
+        for (std::size_t i = 0; i < fast.series.size(); ++i) {
+            ASSERT_EQ(fast.series[i].size(), dense.series[i].size());
+            for (std::size_t t = 0; t < fast.series[i].size(); ++t) {
+                const PosteriorPoint &f = fast.series[i][t];
+                const PosteriorPoint &d = dense.series[i][t];
+                worst = std::max({worst, rel(f.mean, d.mean),
+                                  rel(f.stddev, d.stddev)});
+            }
+        }
+        EXPECT_LE(worst, 1e-6) << workload;
+    }
 }
 
 TEST(Inference, SessionRequiresOpen)

@@ -312,7 +312,8 @@ TEST(MonitorService, StatsSnapshotInvariantHoldsUnderConcurrentOffers)
     // observation while a producer hammers a tiny ring.
     SessionConfig cfg;
     cfg.queueCapacity = 4;
-    Session session(1, uarch(), monitoredSet(), cfg);
+    core::HostBackend backend;
+    Session session(1, uarch(), monitoredSet(), cfg, backend);
     // An unmonitored event id: the assembler rejects each record, so
     // the drain loop exercises the ring and counters at full speed
     // without running EP windows.
@@ -364,7 +365,8 @@ TEST(MonitorService, BackpressureDropAccounting)
     // must drop new records and count every one of them.
     SessionConfig cfg;
     cfg.queueCapacity = 8;
-    Session session(1, uarch(), monitoredSet(), cfg);
+    core::HostBackend backend;
+    Session session(1, uarch(), monitoredSet(), cfg, backend);
 
     const sim::EventId e = monitoredSet().front();
     std::size_t accepted = 0;
