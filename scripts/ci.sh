@@ -18,22 +18,11 @@ set -euo pipefail
 
 jobs=$(nproc)
 
-configure_and_build() { # <dir> [cmake args...] [-- build targets...]
+configure_and_build() { # <dir> [cmake args...]
     local dir=$1
     shift
-    local -a cmake_args=() targets=()
-    while [ $# -gt 0 ] && [ "$1" != "--" ]; do
-        cmake_args+=("$1")
-        shift
-    done
-    [ $# -gt 0 ] && shift
-    targets=("$@")
-    cmake -B "$dir" -S . "${cmake_args[@]}"
-    if [ ${#targets[@]} -gt 0 ]; then
-        cmake --build "$dir" -j "$jobs" --target "${targets[@]}"
-    else
-        cmake --build "$dir" -j "$jobs"
-    fi
+    cmake -B "$dir" -S . "$@"
+    cmake --build "$dir" -j "$jobs"
 }
 
 run_tests() { # <dir>
@@ -310,8 +299,9 @@ asan)
     chaos_smoke build-asan asan
     ;;
 tsan)
-    configure_and_build build-tsan -DBPERF_SANITIZE_THREAD=ON -- \
-        "${tsan_suites[@]}" perf_daemon shim_reader
+    cmake -B build-tsan -S . -DBPERF_SANITIZE_THREAD=ON
+    cmake --build build-tsan -j "$jobs" \
+        --target "${tsan_suites[@]}" perf_daemon shim_reader
     for suite in "${tsan_suites[@]}"; do
         "./build-tsan/$suite"
     done
