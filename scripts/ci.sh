@@ -189,6 +189,13 @@ for key in ('uncontendedNoVerify', 'hammeredNoVerify',
 assert cs['corruptReads'] == 0, cs
 print(f"verify tax p50 {cs['verifyOverheadPctP50']:.1f}% "
       f"p99 {cs['verifyOverheadPctP99']:.1f}%, corrupt 0: OK")
+# A by-session read must cost about one slot read: a read that scans
+# the 16 sessions ahead of it costs ~6x the direct read.
+by_session = doc['bySession']['readLatency']['p50Ns']
+direct = doc['uncontended']['readLatency']['p50Ns']
+assert by_session < 3 * direct, (by_session, direct)
+print(f"by-session read p50 {by_session:.0f} ns vs direct "
+      f"{direct:.0f} ns: OK")
 EOF
 
     # Telemetry overhead.

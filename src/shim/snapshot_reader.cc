@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -54,9 +55,13 @@ SnapshotReader::initState()
     state_ = std::make_unique<State>();
     state_->quarantineSeq =
         std::make_unique<std::atomic<std::uint64_t>[]>(slots_);
-    for (std::size_t i = 0; i < slots_; ++i)
+    state_->slotHint =
+        std::make_unique<std::atomic<std::size_t>[]>(slots_);
+    for (std::size_t i = 0; i < slots_; ++i) {
         state_->quarantineSeq[i].store(kNotQuarantined,
                                        std::memory_order_relaxed);
+        state_->slotHint[i].store(slots_, std::memory_order_relaxed);
+    }
 }
 
 namespace {
@@ -321,7 +326,7 @@ SnapshotReader::stats() const
 namespace {
 
 /**
- * Frozen-odd bookkeeping shared by peekSlot/readSlotImpl.  Tracks the
+ * Frozen-odd bookkeeping of readSlotImpl's retry loop.  Tracks the
  * *latest* odd value seen and how many consecutive attempts re-saw it
  * — any odd value, first observed at any attempt.  (The PR 7 code
  * only armed on the odd value of attempt 0, so a writer that died on
@@ -355,116 +360,24 @@ struct OddStreak
     }
 };
 
+/**
+ * The calling thread's decode target.  An Ok decode is swapped into
+ * the caller's snapshot, so the scratch takes over the caller's old
+ * buffers: a caller that reuses its `out` ping-pongs two counters
+ * vectors, and once both have grown a read allocates nothing.  A
+ * failed decode dirties only the scratch, never `out`.
+ */
+PosteriorSnapshot &
+decodeScratch()
+{
+    thread_local PosteriorSnapshot scratch;
+    return scratch;
+}
+
 } // namespace
 
 ReadStatus
-SnapshotReader::peekSlot(std::size_t slot, std::uint64_t &session_id,
-                         std::size_t max_retries) const
-{
-    const SlotHeader *s = slotAt(base_, layout_, slot);
-    {
-        const std::uint64_t seq_now =
-            s->seq.load(std::memory_order_relaxed);
-        if (const auto cached = checkQuarantine(slot, seq_now))
-            return *cached;
-    }
-    OddStreak odd;
-    for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
-        if (retryProbe_)
-            retryProbe_(attempt);
-        const std::uint64_t s1 = s->seq.load(std::memory_order_acquire);
-        if (s1 & 1) {
-            odd.sawOdd(s1);
-            continue;
-        }
-        odd.sawEven();
-        if (s1 == 0)
-            return ReadStatus::NotFound;
-        const std::uint64_t active =
-            s->active.load(std::memory_order_relaxed);
-        const std::uint64_t id =
-            s->sessionId.load(std::memory_order_relaxed);
-        if (!verifyChecksums_) {
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s->seq.load(std::memory_order_relaxed) != s1)
-                continue;
-            if (active == 0)
-                return ReadStatus::NotFound;
-            session_id = id;
-            return ReadStatus::Ok;
-        }
-        // Fold every payload word into the checksum as it is read —
-        // nothing beyond {active, id} is stored, so the probe stays
-        // allocation-free while still catching a flipped word.  The
-        // words must be chained in the writer's order: closing even
-        // sequence, the fixed payload words in declaration order,
-        // then the SlotEvent words.
-        std::uint64_t acc = chainChecksum(kChecksumSeed, s1);
-        acc = chainChecksum(acc, active);
-        acc = chainChecksum(acc, id);
-        acc = chainChecksum(
-            acc, s->windowIndex.load(std::memory_order_relaxed));
-        acc = chainChecksum(acc,
-                            s->endSlice.load(std::memory_order_relaxed));
-        const std::uint64_t count =
-            s->eventCount.load(std::memory_order_relaxed);
-        acc = chainChecksum(acc, count);
-        acc = chainChecksum(
-            acc, s->publishNanos.load(std::memory_order_relaxed));
-        acc = chainChecksum(acc,
-                            s->engineId.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->queueWaitBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->serviceBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->transferBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->modeledBits.load(std::memory_order_relaxed));
-        if (count > maxEvents_) {
-            // An event count past the slot's capacity would walk the
-            // probe off the end of the segment.  If the sequence is
-            // stable the word itself is corrupt; if not, it was torn.
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s->seq.load(std::memory_order_relaxed) != s1)
-                continue;
-            quarantine(slot, s1);
-            return ReadStatus::Corrupt;
-        }
-        const SlotEvent *entries = s->events();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            acc = chainChecksum(
-                acc, entries[i].event.load(std::memory_order_relaxed));
-            acc = chainChecksum(
-                acc,
-                entries[i].meanBits.load(std::memory_order_relaxed));
-            acc = chainChecksum(
-                acc,
-                entries[i].stddevBits.load(std::memory_order_relaxed));
-        }
-        const std::uint64_t stored =
-            s->checksum.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (s->seq.load(std::memory_order_relaxed) != s1)
-            continue;
-        if (acc != stored) {
-            quarantine(slot, s1);
-            return ReadStatus::Corrupt;
-        }
-        if (active == 0)
-            return ReadStatus::NotFound;
-        session_id = id;
-        return ReadStatus::Ok;
-    }
-    if (odd.dead(max_retries)) {
-        quarantine(slot, odd.value);
-        return ReadStatus::WriterDead;
-    }
-    return ReadStatus::Torn;
-}
-
-ReadStatus
-SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                              std::size_t max_retries) const
 {
     bp_assert(slot < slots_,
@@ -477,9 +390,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
             return *cached;
     }
 
-    // Reused across retry attempts, so a contended read does not
-    // reallocate its counters vector per attempt.
-    PosteriorSnapshot snap;
     OddStreak odd;
     for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
         if (retryProbe_)
@@ -521,6 +431,9 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
             s->publishNanos.load(std::memory_order_relaxed);
         acc = chainChecksum(acc, publish_nanos);
         snap.publishNanos = publish_nanos;
+        // Reset first: windowOrdinal and span are not in the slot and
+        // would otherwise carry over from the scratch's last owner.
+        snap.execution = core::WindowExecution{};
         const std::uint64_t engine =
             s->engineId.load(std::memory_order_relaxed);
         acc = chainChecksum(acc, engine);
@@ -589,7 +502,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
         const std::uint64_t now = steadyNowNanos();
         snap.ageNanos =
             now > snap.publishNanos ? now - snap.publishNanos : 0;
-        out = std::move(snap);
         return ReadStatus::Ok;
     }
     if (odd.dead(max_retries)) {
@@ -603,7 +515,10 @@ ReadStatus
 SnapshotReader::readSlot(std::size_t slot, PosteriorSnapshot &out,
                          std::size_t max_retries) const
 {
-    const ReadStatus status = readSlotImpl(slot, out, max_retries);
+    PosteriorSnapshot &snap = decodeScratch();
+    const ReadStatus status = readSlotImpl(slot, snap, max_retries);
+    if (status == ReadStatus::Ok)
+        std::swap(out, snap);
     countRead(status);
     return status;
 }
@@ -612,54 +527,45 @@ ReadStatus
 SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
                      std::size_t max_retries) const
 {
+    // `out` only ever receives an Ok decode of this very session: a
+    // consumer may keep its last-known snapshot across a failed poll,
+    // and a slot may have been handed to another session.
+    PosteriorSnapshot &snap = decodeScratch();
+    std::atomic<std::size_t> &hint = state_->slotHint[session_id % slots_];
+    const std::size_t hinted = hint.load(std::memory_order_relaxed);
+    if (hinted < slots_ &&
+        readSlotImpl(hinted, snap, max_retries) == ReadStatus::Ok &&
+        snap.sessionId == session_id) {
+        std::swap(out, snap);
+        countRead(ReadStatus::Ok);
+        return ReadStatus::Ok;
+    }
+    // No hint, or it went stale (the session moved or closed, or
+    // another id with the same residue was read since), or its slot
+    // is degraded: scan the table and refresh the hint.
     bool torn = false;
     bool writer_dead = false;
     bool corrupt = false;
-    ReadStatus result = ReadStatus::NotFound;
     for (std::size_t slot = 0; slot < slots_; ++slot) {
-        // Cheap probe first: only the target slot's full payload
-        // (and its counters vector) is copied, so the scan stays a
-        // bounded run of word reads per non-matching slot.
-        std::uint64_t id = 0;
-        const ReadStatus peek = peekSlot(slot, id, max_retries);
-        if (peek == ReadStatus::Torn) {
-            torn = true;
-            continue;
-        }
-        if (peek == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (peek == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
-        if (peek != ReadStatus::Ok || id != session_id)
-            continue;
-        // Copy into a local first: `out` must not be clobbered with
-        // another session's snapshot if the slot was reallocated
-        // between probe and copy (a consumer may keep its last-known
-        // snapshot across a NotFound poll).
-        PosteriorSnapshot snap;
-        const ReadStatus status = readSlotImpl(slot, snap, max_retries);
-        if (status == ReadStatus::Torn) {
-            torn = true;
-            continue;
-        }
-        if (status == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (status == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
-        // The slot may have been invalidated or handed to another
-        // session between probe and copy; keep scanning if so.
-        if (status == ReadStatus::Ok && snap.sessionId == session_id) {
-            out = std::move(snap);
+        switch (readSlotImpl(slot, snap, max_retries)) {
+          case ReadStatus::Ok:
+            if (snap.sessionId != session_id)
+                break;
+            hint.store(slot, std::memory_order_relaxed);
+            std::swap(out, snap);
             countRead(ReadStatus::Ok);
             return ReadStatus::Ok;
+          case ReadStatus::NotFound:
+            break;
+          case ReadStatus::Torn:
+            torn = true;
+            break;
+          case ReadStatus::WriterDead:
+            writer_dead = true;
+            break;
+          case ReadStatus::Corrupt:
+            corrupt = true;
+            break;
         }
     }
     // A degraded slot could have been the session's; report the
@@ -669,6 +575,7 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     // payload is provably bad, not merely contended), Torn over
     // NotFound (the consumer should retry instead of concluding the
     // session is gone).
+    ReadStatus result = ReadStatus::NotFound;
     if (writer_dead)
         result = ReadStatus::WriterDead;
     else if (corrupt)
@@ -684,12 +591,12 @@ SnapshotReader::sessions(ScanHealth *health) const
 {
     std::vector<std::uint64_t> ids;
     ScanHealth tally;
+    PosteriorSnapshot &snap = decodeScratch();
     for (std::size_t slot = 0; slot < slots_; ++slot) {
-        std::uint64_t id = 0;
-        switch (peekSlot(slot, id, kDefaultMaxRetries)) {
+        switch (readSlotImpl(slot, snap, kDefaultMaxRetries)) {
           case ReadStatus::Ok:
             ++tally.active;
-            ids.push_back(id);
+            ids.push_back(snap.sessionId);
             break;
           case ReadStatus::NotFound:
             ++tally.empty;

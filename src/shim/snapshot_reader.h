@@ -18,8 +18,9 @@
  * their sequence moves again (ReaderStats).
  *
  * Thread contract: all read methods are safe from any thread,
- * concurrently with the writer; the quarantine table and stats
- * counters are atomics.  setVerifyChecksums()/setRetryProbe()
+ * concurrently with the writer; the quarantine and hint tables and
+ * the stats counters are atomics, and each thread decodes into its
+ * own scratch snapshot.  setVerifyChecksums()/setRetryProbe()
  * configure the reader and must not race reads.
  */
 
@@ -223,14 +224,19 @@ class SnapshotReader
     std::vector<std::uint64_t> sessions(ScanHealth *health = nullptr) const;
 
     /**
-     * Copy the latest snapshot of `session_id` into `out`.  Scans the
-     * slot table (slot count is small by design).  Wait-free except
-     * for seqlock retries, which are bounded by `max_retries`.
+     * Copy the latest snapshot of `session_id` into `out`.  Decodes
+     * the slot where this reader last found the session first; only a
+     * missing, stale or degraded hint falls back to a scan of the
+     * slot table, which refreshes the hint.  Wait-free except for
+     * seqlock retries, which are bounded by `max_retries`.  `out` is
+     * written only on Ok; a caller that reuses it allocates nothing
+     * per read in the steady state.
      */
     ReadStatus read(std::uint64_t session_id, PosteriorSnapshot &out,
                     std::size_t max_retries = kDefaultMaxRetries) const;
 
-    /** Copy slot `slot` directly (consumers that cached a slot). */
+    /** Copy slot `slot` directly (consumers that cached a slot);
+     * `out` is written only on Ok, as for read(). */
     ReadStatus readSlot(std::size_t slot, PosteriorSnapshot &out,
                         std::size_t max_retries = kDefaultMaxRetries) const;
 
@@ -246,7 +252,7 @@ class SnapshotReader
 
     /**
      * Chaos/test instrumentation: invoked at the top of every retry
-     * attempt of readSlot()/peekSlot() with the attempt index.  Lets
+     * attempt of a slot decode with the attempt index.  Lets
      * a test mutate the slot at a deterministic point mid-scan.  Keep
      * unset in production (one branch per attempt when unset).
      */
@@ -258,20 +264,15 @@ class SnapshotReader
   private:
     SnapshotReader() = default;
 
-    /** Allocate the quarantine table + stats block for slots_. */
+    /** Allocate the quarantine and hint tables + stats block for
+     * slots_. */
     void initState();
 
-    /** Seq-validated read of just a slot's {active, session id} —
-     * the cheap probe read()/sessions() scan with, so the full
-     * payload vector is only materialised for the target slot.  With
-     * verification on it still folds every payload word into the
-     * checksum (without storing them), so scans detect Corrupt too. */
-    ReadStatus peekSlot(std::size_t slot, std::uint64_t &session_id,
-                        std::size_t max_retries) const;
-
-    /** readSlot() without stats counting (read() aggregates its own
-     * probe outcomes into one counted result). */
-    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+    /** The one slot decode behind readSlot(), read() and sessions(),
+     * without stats counting (read() aggregates its own outcomes into
+     * one counted result).  Decodes into `snap`, which holds a full
+     * snapshot on Ok and is left partly written otherwise. */
+    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                             std::size_t max_retries) const;
 
     /** Quarantine fast path: if `slot` is quarantined and its
@@ -303,6 +304,9 @@ class SnapshotReader
          * condemned at (parity encodes the verdict: odd = WriterDead,
          * even = Corrupt), or kNotQuarantined. */
         std::unique_ptr<std::atomic<std::uint64_t>[]> quarantineSeq;
+        /** Per session id modulo slots_: the slot where read() last
+         * found a session with that residue (slots_ = no hint yet). */
+        std::unique_ptr<std::atomic<std::size_t>[]> slotHint;
         std::atomic<std::uint64_t> okReads{0};
         std::atomic<std::uint64_t> notFoundReads{0};
         std::atomic<std::uint64_t> tornReads{0};

@@ -176,7 +176,8 @@ TEST(JsonWriter, AccelServiceBenchSchemaIsValid)
 /** The exact schema bench_shim_read.cpp writes (layout v2: the
  * `checksum` section carries the verify-off read latencies, the
  * relative verification overhead, and the corruptReads protocol
- * assertion — zero in any healthy run). */
+ * assertion — zero in any healthy run; `bySession` times reads by
+ * session id in pipebench live_tenants' table geometry). */
 TEST(JsonWriter, ShimReadBenchSchemaIsValid)
 {
     bench::JsonWriter json;
@@ -208,6 +209,9 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
             .field("tornReads", 3)
             .endObject();
     }
+    json.beginObject("bySession").field("slots", 64).field("sessions", 16);
+    ns_summary("readLatency");
+    json.field("p50VsUncontended", 1.02).endObject();
     json.beginObject("checksum");
     ns_summary("uncontendedNoVerify");
     ns_summary("hammeredNoVerify");
@@ -233,7 +237,8 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
          {"uncontended", "hammered", "checksum", "uncontendedNoVerify",
           "hammeredNoVerify", "verifyOverheadPctP50",
           "verifyOverheadPctP99", "corruptReads", "readLatency",
-          "staleness", "publishNs", "posteriorsBitIdentical"})
+          "staleness", "bySession", "slots", "sessions",
+          "p50VsUncontended", "publishNs", "posteriorsBitIdentical"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

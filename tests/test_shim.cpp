@@ -1,7 +1,10 @@
 /** @file Tests for the shared-memory posterior snapshot shim:
  * seqlock write/read round trips (bit-identical doubles), torn-write
  * retry under a hammering writer, readers attaching before the first
- * publish, slot invalidation on session close, the service publisher
+ * publish, slot invalidation on session close, the reader's
+ * session -> slot hint (moved and colliding sessions, two threads on
+ * one reader), failed reads leaving `out` untouched, zero allocations
+ * per steady-state read, the service publisher
  * mirroring the subscription stream bit for bit, and cross-process
  * reads through a forked child attached to a named POSIX shm
  * segment.  The in-process tests run under TSan in CI; the fork
@@ -15,8 +18,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +41,31 @@
 #define BPERF_TSAN 1
 #endif
 #endif
+
+/** Every global operator new call in this test binary, so a test can
+ * assert that a code path allocates nothing. */
+static std::atomic<std::uint64_t> gOperatorNewCalls{0};
+
+void *
+operator new(std::size_t size)
+{
+    gOperatorNewCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace bperf {
 namespace shim {
@@ -402,6 +432,310 @@ TEST(SnapshotReader, AttachToNamedSegmentSameProcess)
     EXPECT_EQ(snap.counters.size(), 1u);
     EXPECT_EQ(doubleBits(snap.counters[0].posterior.mean),
               doubleBits(3.5));
+}
+
+/** Every field of a snapshot as raw bits, for bit-identity checks. */
+std::vector<std::uint64_t>
+fieldBits(const PosteriorSnapshot &snap)
+{
+    const core::WindowExecution &e = snap.execution;
+    std::vector<std::uint64_t> bits = {
+        snap.sessionId, snap.windowIndex, snap.endSlice, e.engineId,
+        e.endSlice, doubleBits(e.queueWaitSeconds),
+        doubleBits(e.serviceSeconds), doubleBits(e.transferSeconds),
+        doubleBits(e.modeledSeconds), e.windowOrdinal, e.span.traceId,
+        e.span.ingestNanos, e.span.assembleNanos, e.span.epStartNanos,
+        e.span.epEndNanos, e.span.publishNanos, snap.publishNanos,
+        snap.ageNanos, snap.retries, snap.counters.size()};
+    for (const SnapshotCounter &c : snap.counters) {
+        bits.push_back(c.event);
+        bits.push_back(doubleBits(c.posterior.mean));
+        bits.push_back(doubleBits(c.posterior.stddev));
+    }
+    return bits;
+}
+
+/** A snapshot holding a distinctive value in every field, including
+ * the execution fields no slot carries. */
+PosteriorSnapshot
+sentinelSnapshot()
+{
+    PosteriorSnapshot snap;
+    snap.sessionId = 0xdead;
+    snap.windowIndex = 41;
+    snap.endSlice = 43;
+    snap.execution = sampleExecution();
+    snap.execution.windowOrdinal = 47;
+    snap.execution.span = {1, 2, 3, 4, 5, 6};
+    snap.counters = {{53, {-1.5, 0.25}}, {59, {6.5, 2.0}}};
+    snap.publishNanos = 61;
+    snap.ageNanos = 67;
+    snap.retries = 71;
+    return snap;
+}
+
+/** Publish `session_id` into `slot` with a payload derived from
+ * (session, window), so a read can tell whose payload it got. */
+void
+publishTagged(SnapshotRegion &region, std::size_t slot,
+              std::uint64_t session_id, std::uint64_t window,
+              std::size_t event_count = 2)
+{
+    std::vector<sim::EventId> events(event_count);
+    std::vector<core::PosteriorPoint> posterior(event_count);
+    for (std::size_t i = 0; i < event_count; ++i) {
+        events[i] = static_cast<sim::EventId>(session_id * 1000 + i);
+        posterior[i].mean = static_cast<double>(window * 100 + i);
+        posterior[i].stddev = static_cast<double>(session_id) + 0.5;
+    }
+    region.write(slot, session_id, window, /*end_slice=*/window + 3,
+                 sampleExecution(), events, posterior,
+                 /*publish_nanos=*/window);
+}
+
+/** Whether `snap` is exactly what publishTagged wrote. */
+bool
+isTagged(const PosteriorSnapshot &snap, std::uint64_t session_id,
+         std::size_t event_count = 2)
+{
+    if (snap.sessionId != session_id ||
+        snap.endSlice != snap.windowIndex + 3 ||
+        snap.publishNanos != snap.windowIndex ||
+        snap.counters.size() != event_count)
+        return false;
+    for (std::size_t i = 0; i < event_count; ++i) {
+        const SnapshotCounter &c = snap.counters[i];
+        if (c.event != static_cast<sim::EventId>(session_id * 1000 + i) ||
+            doubleBits(c.posterior.mean) !=
+                doubleBits(static_cast<double>(snap.windowIndex * 100 + i)) ||
+            doubleBits(c.posterior.stddev) !=
+                doubleBits(static_cast<double>(session_id) + 0.5))
+            return false;
+    }
+    return true;
+}
+
+TEST(SnapshotReader, FailedReadsLeaveOutBitIdentical)
+{
+    // A consumer may keep its last-known snapshot across a failed
+    // poll, so no outcome but Ok may write a single field of `out` —
+    // whichever slot the read decoded on the way.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    publishTagged(region, 0, /*session=*/1, /*window=*/1);
+    publishTagged(region, 2, /*session=*/3, /*window=*/1);
+    publishTagged(region, 3, /*session=*/4, /*window=*/1);
+    SnapshotReader reader(region);
+    PosteriorSnapshot out;
+    for (std::uint64_t id : {1u, 3u, 4u}) // every session gets a hint
+        ASSERT_EQ(reader.read(id, out), ReadStatus::Ok);
+    const std::vector<std::uint64_t> want = fieldBits(sentinelSnapshot());
+    const auto expectUntouched = [&](ReadStatus got, ReadStatus status,
+                                     const char *what) {
+        EXPECT_EQ(got, status) << what;
+        EXPECT_EQ(fieldBits(out), want) << what;
+        out = sentinelSnapshot();
+    };
+    out = sentinelSnapshot();
+
+    expectUntouched(reader.read(99, out), ReadStatus::NotFound,
+                    "unknown session");
+    expectUntouched(reader.readSlot(1, out), ReadStatus::NotFound,
+                    "empty slot");
+
+    // Session 1's hinted slot is handed to session 2: the hint decode
+    // is an Ok read of the wrong session and must not leak into out.
+    region.invalidate(0);
+    publishTagged(region, 0, /*session=*/2, /*window=*/5);
+    expectUntouched(reader.read(1, out), ReadStatus::NotFound,
+                    "hinted slot handed to another session");
+
+    // Torn: the sequence is odd and moves on every attempt.
+    publishTagged(region, 0, /*session=*/1, /*window=*/2);
+    ASSERT_EQ(reader.read(1, out), ReadStatus::Ok);
+    out = sentinelSnapshot();
+    auto *torn = slotAt(const_cast<std::byte *>(region.base()),
+                        region.layout(), 0);
+    const std::uint64_t stable = torn->seq.load(std::memory_order_relaxed);
+    reader.setRetryProbe([&](std::size_t attempt) {
+        torn->seq.store(stable + 2 * attempt + 1, std::memory_order_release);
+    });
+    expectUntouched(reader.read(1, out, /*max_retries=*/8),
+                    ReadStatus::Torn, "torn by session");
+    expectUntouched(reader.readSlot(0, out, /*max_retries=*/8),
+                    ReadStatus::Torn, "torn by slot");
+    reader.setRetryProbe(nullptr);
+    torn->seq.store(stable, std::memory_order_release);
+
+    // Corrupt: a flipped payload bit in session 4's slot.
+    auto *flipped = slotAt(const_cast<std::byte *>(region.base()),
+                           region.layout(), 3);
+    flipped->events()[1].stddevBits.fetch_xor(1ull << 3,
+                                              std::memory_order_relaxed);
+    expectUntouched(reader.read(4, out), ReadStatus::Corrupt,
+                    "corrupt by session");
+    expectUntouched(reader.readSlot(3, out), ReadStatus::Corrupt,
+                    "corrupt by slot");
+
+    // WriterDead: session 3's slot froze odd mid-publish.
+    auto *dead = slotAt(const_cast<std::byte *>(region.base()),
+                        region.layout(), 2);
+    dead->seq.fetch_add(1, std::memory_order_release);
+    expectUntouched(reader.read(3, out), ReadStatus::WriterDead,
+                    "writer dead by session");
+    expectUntouched(reader.readSlot(2, out), ReadStatus::WriterDead,
+                    "writer dead by slot");
+
+    // An Ok read replaces out whole: the execution fields no slot
+    // carries come back zeroed, also on the read whose decode reuses
+    // the buffers the sentinel handed over.
+    for (int i = 0; i < 2; ++i) {
+        out = sentinelSnapshot();
+        ASSERT_EQ(reader.read(1, out), ReadStatus::Ok);
+        EXPECT_TRUE(isTagged(out, 1));
+        EXPECT_EQ(out.windowIndex, 2u);
+        EXPECT_EQ(out.retries, 0u);
+        EXPECT_EQ(out.execution.windowOrdinal, 0u);
+        EXPECT_EQ(out.execution.span.traceId, 0u);
+        EXPECT_EQ(out.execution.span.publishNanos, 0u);
+    }
+}
+
+TEST(SnapshotReader, SessionMovedToAnotherSlotIsStillFound)
+{
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    SnapshotReader reader(region);
+    std::size_t decodes = 0;
+    reader.setRetryProbe([&](std::size_t attempt) {
+        if (attempt == 0)
+            ++decodes;
+    });
+    PosteriorSnapshot out;
+
+    publishTagged(region, 1, /*session=*/7, /*window=*/1);
+    ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
+    decodes = 0;
+    ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
+    EXPECT_EQ(decodes, 1u) << "a hinted read decodes one slot";
+
+    // The session moves from slot 1 to slot 3: the stale hint costs
+    // one extra decode, the scan finds it, and the refreshed hint
+    // makes the next read one decode again.
+    region.invalidate(1);
+    publishTagged(region, 3, /*session=*/7, /*window=*/2);
+    decodes = 0;
+    ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
+    EXPECT_TRUE(isTagged(out, 7));
+    EXPECT_EQ(out.windowIndex, 2u);
+    EXPECT_EQ(decodes, 1u + region.slots());
+    decodes = 0;
+    ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
+    EXPECT_EQ(out.windowIndex, 2u);
+    EXPECT_EQ(decodes, 1u);
+    EXPECT_EQ(reader.stats().okReads, 4u);
+}
+
+TEST(SnapshotReader, CollidingHintIdsEachReadTheirOwnPayload)
+{
+    // Ids s and s + slots() share one hint word; read in alternation,
+    // each evicts the other's hint, yet every read must return its
+    // own session's payload.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    const std::uint64_t a = 2;
+    const std::uint64_t b = a + region.slots();
+    publishTagged(region, 3, a, /*window=*/10);
+    publishTagged(region, 0, b, /*window=*/20);
+    SnapshotReader reader(region);
+    PosteriorSnapshot out;
+    for (int round = 0; round < 8; ++round) {
+        ASSERT_EQ(reader.read(a, out), ReadStatus::Ok);
+        EXPECT_TRUE(isTagged(out, a));
+        EXPECT_EQ(out.windowIndex, 10u);
+        ASSERT_EQ(reader.read(b, out), ReadStatus::Ok);
+        EXPECT_TRUE(isTagged(out, b));
+        EXPECT_EQ(out.windowIndex, 20u);
+    }
+    EXPECT_EQ(reader.stats().okReads, 16u);
+}
+
+TEST(SnapshotReader, SharedReaderThreadsStayConsistentUnderRepublish)
+{
+    // One reader, two consumer threads, two sessions whose ids share a
+    // hint word, and a writer that republishes both and keeps swapping
+    // their slots: every Ok read must be exactly one of the writer's
+    // payloads for the session asked for.
+    constexpr std::size_t kEvents = 13;
+    SnapshotRegion region(SnapshotRegionConfig{4, kEvents});
+    const std::uint64_t ids[2] = {1, 1 + region.slots()};
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        std::size_t slot_of[2] = {0, 2};
+        for (std::uint64_t w = 1; !stop.load(std::memory_order_relaxed);
+             ++w) {
+            if (w % 64 == 0) {
+                for (std::size_t s : slot_of)
+                    region.invalidate(s);
+                std::swap(slot_of[0], slot_of[1]);
+            }
+            for (int k = 0; k < 2; ++k)
+                publishTagged(region, slot_of[k], ids[k], w, kEvents);
+        }
+    });
+
+    SnapshotReader reader(region);
+    std::atomic<std::uint64_t> ok_reads[2] = {0, 0};
+    std::atomic<std::uint64_t> bad_reads{0};
+    std::vector<std::thread> consumers;
+    for (int k = 0; k < 2; ++k) {
+        consumers.emplace_back([&, k] {
+            PosteriorSnapshot snap;
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(10);
+            while (ok_reads[k].load() < 2000 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                if (reader.read(ids[k], snap) != ReadStatus::Ok)
+                    continue; // moved, torn or not yet published
+                ok_reads[k].fetch_add(1);
+                if (!isTagged(snap, ids[k], kEvents))
+                    bad_reads.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : consumers)
+        t.join();
+    stop.store(true);
+    writer.join();
+    EXPECT_EQ(bad_reads.load(), 0u);
+    EXPECT_GT(ok_reads[0].load(), 100u);
+    EXPECT_GT(ok_reads[1].load(), 100u);
+}
+
+TEST(SnapshotReader, SteadyStateReadsAllocateNothing)
+{
+    // pipebench live_tenants' geometry: 16 sessions of 13 events in a
+    // 64-slot table; the consumer reads the last session.
+    constexpr std::size_t kEvents = 13;
+    SnapshotRegion region(SnapshotRegionConfig{64, kEvents});
+    for (std::size_t s = 0; s < 16; ++s)
+        publishTagged(region, s, /*session=*/s + 1, /*window=*/s, kEvents);
+    SnapshotReader reader(region);
+    PosteriorSnapshot out;
+    // Two warm-up reads grow both `out` and the thread's decode
+    // scratch, which trade buffers on every Ok read.
+    for (int i = 0; i < 2; ++i)
+        ASSERT_EQ(reader.read(16, out), ReadStatus::Ok);
+
+    std::size_t ok = 0;
+    const std::uint64_t before =
+        gOperatorNewCalls.load(std::memory_order_relaxed);
+    for (int i = 0; i < 1000; ++i)
+        ok += reader.read(16, out) == ReadStatus::Ok;
+    for (int i = 0; i < 1000; ++i)
+        ok += reader.readSlot(15, out) == ReadStatus::Ok;
+    const std::uint64_t allocations =
+        gOperatorNewCalls.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(ok, 2000u);
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_TRUE(isTagged(out, 16, kEvents));
 }
 
 #ifndef BPERF_TSAN
