@@ -12,9 +12,9 @@
  *   2. Kernel micro-costs: one fused tilted-moment quadrature, one
  *      rank-1 joint update and one full factorization at the
  *      window's joint size.
- *   3. EP op counts per window (moment evals, rank-1 updates, full
- *      solves) from a one-window run, so the µs numbers can be
- *      decomposed.
+ *   3. EP op counts per window (sweeps, moment evals, rank-1
+ *      updates, full solves) of the fast path, so the µs numbers can
+ *      be decomposed.
  *
  * Writes BENCH_ep_window.json into the working directory (the CI
  * bench smoke step uploads it).  BP_QUICK=1 shrinks repetitions.
@@ -168,8 +168,8 @@ main()
     table.print(std::cout);
 
     const double w = static_cast<double>(fast.windows ? fast.windows : 1);
-    std::cout << "\nFast-path ops per window: "
-              << fast.momentEvals / w << " moment evals, "
+    std::cout << "\nFast-path ops per window: " << fast.sweeps / w
+              << " sweeps, " << fast.momentEvals / w << " moment evals, "
               << fast.rank1Updates / w << " rank-1 updates, "
               << fast.fullSolves / w << " full solves, "
               << fast.blockFlushes / w << " block flushes; "
@@ -251,6 +251,7 @@ main()
                dense.usPerWindow / fast.usPerWindow)
         .field("speedup_simd_vs_scalar",
                scalar.usPerWindow / fast.usPerWindow)
+        .field("sweeps_per_window", fast.sweeps / w)
         .field("moment_evals_per_window", fast.momentEvals / w)
         .field("rank1_updates_per_window", fast.rank1Updates / w)
         .field("full_solves_per_window", fast.fullSolves / w)

@@ -156,7 +156,7 @@ doc = json.load(open('BENCH_ep_window.json'))
 for key in ('quad_kernel', 'flush_kernel', 'block_size',
             'us_per_window_fast', 'us_per_window_scalar',
             'speedup_fast_vs_dense', 'speedup_simd_vs_scalar',
-            'buffer_growths'):
+            'sweeps_per_window', 'buffer_growths'):
     assert key in doc, key
 # The SIMD quadrature kernel must actually beat the scalar one
 # end-to-end (on runners without AVX2 the dispatcher falls back to
@@ -167,6 +167,10 @@ if doc['quad_kernel'] != 'scalar':
     assert doc['speedup_simd_vs_scalar'] > 1.5, doc
 print(f"quad_kernel={doc['quad_kernel']} "
       f"simd_vs_scalar={doc['speedup_simd_vs_scalar']:.2f}: OK")
+# Undamped quadrature EP converges in ~4 sweeps per window; a damped
+# schedule stops most windows at the 8-sweep cap.
+assert doc['sweeps_per_window'] <= 6, doc
+print(f"sweeps_per_window={doc['sweeps_per_window']:.2f}: OK")
 EOF
 
     # Accelerator-in-the-loop service; admission control under

@@ -18,8 +18,8 @@ using graph::GaussianSolver;
 
 namespace {
 
-/** Damping of site updates in natural parameters. */
-constexpr double kDamping = 0.7;
+/** Damping of MCMC site updates in natural parameters. */
+constexpr double kMcmcDamping = 0.7;
 /** Grid size of the tilted-moment quadrature. */
 constexpr std::size_t kQuadraturePoints = 129;
 /** Seed of the per-site MCMC seed stream. */
@@ -60,8 +60,8 @@ quadMomentsOnGrid(double cavity_mean, double cavity_var, double loc,
 }
 
 /**
- * One site's moment-matched damped update (Alg. 1 lines 3-7):
- * computes the cavity and tilted moments, commits the damped site
+ * One site's moment-matched update (Alg. 1 lines 3-7): computes the
+ * cavity and tilted moments, commits the `damping`-weighted site
  * approximation and folds its delta into `site_sums`, and accumulates
  * the relative mean change into `max_rel_change`.  Returns false
  * (touching nothing) when the cavity is improper or degenerate;
@@ -303,14 +303,11 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
 
     Rng rng(kMcmcSeed);
 
-    // Damping protects the early sweeps, where parallel conflicts
-    // between coupled sites are large; near the fixed point it only
-    // slows the geometric tail.  Once a sweep's total movement is
-    // within 20x tolerance AND still shrinking, run undamped; any
-    // sweep that fails to shrink (e.g. an undamped limit cycle)
-    // restores the damped factor.
-    double damping = kDamping;
-    double prev_change = 1e300;
+    // Sequential site-by-site EP against the exact joint runs undamped
+    // (Minka, UAI 2001).  MCMC moments are noisy, so their updates are
+    // damped to average the noise across sweeps.
+    const double damping =
+        config_.method == MomentMethod::Mcmc ? kMcmcDamping : 1.0;
 
     for (std::size_t sweep = 0; sweep < config_.maxSweeps; ++sweep) {
         ++result.sweeps;
@@ -362,11 +359,6 @@ ExpectationPropagation::runSweeps(const FactorGraph &graph,
             result.converged = true;
             break;
         }
-        damping = (max_rel_change < 20.0 * config_.tolerance &&
-                   max_rel_change < prev_change)
-                      ? 1.0
-                      : kDamping;
-        prev_change = max_rel_change;
     }
 
     // Apply any still-pending downdates so the stored covariance is

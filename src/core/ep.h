@@ -8,7 +8,10 @@
  *   cavity  = joint marginal / site              (Alg. 1 line 3)
  *   tilted  = likelihood x cavity, moments via   (Alg. 1 line 4)
  *             quadrature or MCMC
- *   site'   = tilted / cavity, damped            (Alg. 1 lines 5-7)
+ *   site'   = tilted / cavity                    (Alg. 1 lines 5-7)
+ * Sites update one at a time against the exact joint.  Quadrature
+ * updates apply in full (Minka's sequential EP); MCMC updates are
+ * damped, which averages their Monte Carlo noise across sweeps.
  *
  * Hot-path structure: tilted moments run through the SIMD quadrature
  * kernel (quad_kernel.h, AVX2 with a bit-identical scalar fallback);

@@ -97,6 +97,7 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
         .field("us_per_window_mcmc", 30000.0)
         .field("speedup_fast_vs_dense", 16.66)
         .field("speedup_simd_vs_scalar", 6.15)
+        .field("sweeps_per_window", 4.33)
         .field("moment_evals_per_window", 293.0)
         .field("rank1_updates_per_window", 292.0)
         .field("full_solves_per_window", 2.0)
@@ -112,7 +113,8 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
          {"events", "window_slices", "joint_size", "quad_kernel",
           "flush_kernel", "us_per_window_fast", "us_per_window_scalar",
           "us_per_window_dense", "speedup_fast_vs_dense",
-          "speedup_simd_vs_scalar", "buffer_growths"})
+          "speedup_simd_vs_scalar", "sweeps_per_window",
+          "buffer_growths"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

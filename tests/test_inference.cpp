@@ -265,30 +265,39 @@ TEST(WindowedInference, CountsUnconvergedWindows)
     telemetry::setEnabled(was_enabled);
 }
 
-TEST(WindowedInference, LongRank1ChainsMatchDenseResolve)
+/** The 13-event round-robin stream (48 slices) of one HiBench
+ * workload that the long-chain and convergence tests run. */
+sim::PerfResult
+thirteenEventRun(const sim::MicroarchDescriptor &uarch, const char *workload)
 {
-    // 13 events at k = 6 run more blocked rank-1 updates per window
-    // (>= 256) than any golden graph.  With no periodic
-    // re-factorization the Sherman-Morrison chain spans the whole
-    // window, so it must still track the full re-solve oracle.
-    const auto uarch = sim::makeX86Skylake();
     std::vector<EventId> events = uarch.fixedEvents();
     for (Role r : {Role::LlcMiss, Role::L2Miss, Role::L1DMiss, Role::Loads,
                    Role::Stores, Role::Branches, Role::BranchMisses,
                    Role::StallMem, Role::StallTotal, Role::DramBytes})
         events.push_back(uarch.idForRole(r));
-    ASSERT_EQ(events.size(), 13u);
+    EXPECT_EQ(events.size(), 13u);
+    const sim::GroundTruthGenerator gen(uarch, wl::makeHibench(workload));
+    const sim::TruthTrace truth = gen.generate(48, 5);
+    sim::PerfSessionConfig perf_cfg;
+    perf_cfg.seed = 17;
+    sim::PerfSession perf(uarch, perf_cfg);
+    return perf.runRoundRobin(truth, events);
+}
 
+TEST(WindowedInference, LongRank1ChainsMatchDenseResolve)
+{
+    // 13 events at k = 8 with tolerance 0 run all 8 sweeps, i.e. more
+    // blocked rank-1 updates per window (>= 256) than any golden
+    // graph.  With no periodic re-factorization the Sherman-Morrison
+    // chain spans the whole window, so it must still track the full
+    // re-solve oracle.
+    const auto uarch = sim::makeX86Skylake();
     for (const char *workload : {"KMeans", "Sort", "WordCount"}) {
-        const sim::GroundTruthGenerator gen(uarch, wl::makeHibench(workload));
-        const sim::TruthTrace truth = gen.generate(48, 5);
-        sim::PerfSessionConfig perf_cfg;
-        perf_cfg.seed = 17;
-        sim::PerfSession perf(uarch, perf_cfg);
-        const sim::PerfResult run = perf.runRoundRobin(truth, events);
+        const sim::PerfResult run = thirteenEventRun(uarch, workload);
 
         InferenceConfig cfg;
-        cfg.windowSlices = 6;
+        cfg.windowSlices = 8;
+        cfg.ep.tolerance = 0.0;
         const InferenceResult fast = InferenceEngine(uarch, cfg).infer(run);
         cfg.ep.jointStrategy = JointStrategy::DenseResolve;
         const InferenceResult dense = InferenceEngine(uarch, cfg).infer(run);
@@ -311,6 +320,37 @@ TEST(WindowedInference, LongRank1ChainsMatchDenseResolve)
         }
         EXPECT_LE(worst, 1e-6) << workload;
     }
+}
+
+TEST(WindowedInference, DefaultEpConvergesOnThirteenEventWindows)
+{
+    // Sequential quadrature EP runs undamped, so at the default
+    // EpConfig (8 sweeps, tolerance 1e-4) nearly every k = 6 window
+    // reaches its fixed point in about four sweeps.  A damped schedule
+    // stops most of these windows at the sweep cap.
+    const auto uarch = sim::makeX86Skylake();
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
+    const auto &registry = telemetry::MetricsRegistry::global();
+    for (const char *workload : {"KMeans", "Sort", "WordCount"}) {
+        const sim::PerfResult run = thirteenEventRun(uarch, workload);
+        InferenceConfig cfg;
+        cfg.windowSlices = 6;
+        const std::uint64_t before =
+            registry.counterValue("ep.unconverged_windows");
+        const InferenceResult r = InferenceEngine(uarch, cfg).infer(run);
+        const std::uint64_t unconverged =
+            registry.counterValue("ep.unconverged_windows") - before;
+
+        EXPECT_GT(r.windowsRun, 0u) << workload;
+        const double windows = static_cast<double>(r.windowsRun);
+        EXPECT_GE(1.0 - static_cast<double>(unconverged) / windows, 0.9)
+            << workload << ": " << unconverged << " of " << r.windowsRun
+            << " windows unconverged";
+        EXPECT_LE(static_cast<double>(r.epSweepsTotal) / windows, 5.5)
+            << workload;
+    }
+    telemetry::setEnabled(was_enabled);
 }
 
 TEST(Inference, SessionRequiresOpen)

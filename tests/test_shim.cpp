@@ -176,8 +176,11 @@ TEST(SnapshotReader, TornWritesRetriedNeverReturned)
     // (every field derived from the window index); a reader polling
     // concurrently must only ever observe consistent snapshots —
     // torn reads surface as retries or ReadStatus::Torn, never as a
-    // mixed payload.
+    // mixed payload.  The writer publishes in back-to-back bursts
+    // that tear concurrent reads, and pauses between bursts so that
+    // it cannot starve the reader of stable windows.
     constexpr std::size_t kEvents = 13;
+    constexpr std::uint64_t kBurstPublishes = 64;
     SnapshotRegion region(SnapshotRegionConfig{2, kEvents});
 
     std::atomic<bool> stop{false};
@@ -198,6 +201,8 @@ TEST(SnapshotReader, TornWritesRetriedNeverReturned)
             exec.modeledSeconds = static_cast<double>(w) * 1e-9;
             region.write(0, /*session_id=*/1, w, /*end_slice=*/w + 3,
                          exec, events, posterior, /*publish_nanos=*/w);
+            if (w % kBurstPublishes == 0)
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
     });
 
