@@ -189,12 +189,11 @@ main()
     const std::size_t n = monitored.size() * 6;
     graph::FactorGraph g;
     for (std::size_t i = 0; i < n; ++i)
-        g.addVariable("v" + std::to_string(i), 100.0);
+        g.addVariable(100.0);
     for (std::size_t i = 0; i < n; ++i)
-        g.addGaussianPrior("p", static_cast<graph::VarId>(i), 100.0, 30.0);
+        g.addGaussianPrior(static_cast<graph::VarId>(i), 100.0, 30.0);
     for (std::size_t i = 0; i + 1 < n; ++i)
-        g.addLinearGaussian("w",
-                            {{static_cast<graph::VarId>(i), 1.0},
+        g.addLinearGaussian({{static_cast<graph::VarId>(i), 1.0},
                              {static_cast<graph::VarId>(i + 1), -1.0}},
                             0.0, 10.0);
     graph::GaussianSolver solver(g);

@@ -4,7 +4,8 @@
 #
 #   scripts/ci.sh default    docs links, build, tier-1 tests, daemon and
 #                            bad-argv checks, shim/consumer/trace smokes,
-#                            bench smokes with their JSON asserts
+#                            bench smokes with their JSON asserts,
+#                            repository benchmark (pipebench) smoke
 #   scripts/ci.sh simd-off   scalar-kernel build (-DBPERF_SIMD=OFF),
 #                            tests, scalar-dispatch assert
 #   scripts/ci.sh asan       ASan+UBSan build, tests, SIGKILL chaos smoke
@@ -238,6 +239,26 @@ print(f"{len(doc['points'])} points, "
 EOF
 }
 
+# The repository benchmark, built from this checkout into
+# .bench_build/, for 2 s per workload with tracing on.  Its in-band
+# checks (streaming replay, shim/subscription parity and, traced, the
+# core probe's bit check against the engine) exit 1 on failure; the
+# result line must also report no failed operation.
+pipebench_smoke() {
+    local workload result
+    for workload in live_tenants pmi_flood; do
+        result=$(python3 pipebench/run.py --workload "$workload" \
+            --seed 3 --seconds 2 --trace 1 | tail -n 1)
+        python3 - "$workload" "$result" <<'EOF'
+import json, sys
+workload, doc = sys.argv[1], json.loads(sys.argv[2])
+assert doc['correct'] is True, (workload, doc)
+assert doc['failed'] == 0, (workload, doc)
+print(f"pipebench {workload}: correct, 0 failed: OK")
+EOF
+    done
+}
+
 # ------------------------------------------------------- sanitizers
 
 # SIGKILL the daemon under a live shim_reader.  The reader must notice
@@ -285,6 +306,7 @@ default)
     consumer_loop_smoke
     trace_smoke
     bench_smokes
+    pipebench_smoke
     ;;
 simd-off)
     # The scalar quadrature fallback must stand on its own — in

@@ -219,7 +219,7 @@ WindowedInference::runWindow(std::size_t w_len)
                 // only read noise enters the scale.
                 MeasurementModel m;
                 m.loc = sample.scaled();
-                m.scale = std::max(config_.model.measurementExtraRel *
+                m.scale = std::max(ModelConfig::measurementExtraRel *
                                        std::abs(m.loc),
                                    1e-9);
                 m.nu = 30.0;
@@ -229,10 +229,10 @@ WindowedInference::runWindow(std::size_t w_len)
                 // floors (relative to both their reading and the
                 // event's level).
                 const double floor =
-                    config_.model.measurementFloorRel * levels[i];
+                    ModelConfig::measurementFloorRel * levels[i];
                 model.addMeasurement(
                     events_[i], s,
-                    fitMeasurement(sample, config_.model.measurementMuxRel,
+                    fitMeasurement(sample, ModelConfig::measurementMuxRel,
                                    floor));
             }
         }
@@ -269,10 +269,10 @@ WindowedInference::runWindow(std::size_t w_len)
         const graph::VarId v = model.var(events_[i], carry_slice);
         const auto &def = uarch_.event(events_[i]);
         const double walk_sd =
-            config_.model.temporalSigmaRel *
+            ModelConfig::temporalSigmaRel *
             std::max(levels[i], 0.05 * def.typicalPerSlice);
         const double sd =
-            std::sqrt(config_.carryVarInflation *
+            std::sqrt(InferenceConfig::carryVarInflation *
                       (ep_result.stddev[v] * ep_result.stddev[v] +
                        walk_sd * walk_sd));
         carry_.push_back({events_[i], ep_result.mean[v], sd});

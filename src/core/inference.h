@@ -46,13 +46,14 @@ struct InferenceConfig
     std::size_t windowSlices = 0;
 
     EpConfig ep;
+    /** The window model's constants (static; see ModelConfig). */
     ModelConfig model;
 
     /**
      * Variance inflation applied to carried posteriors so the prior
      * of a new window does not double-count old data.
      */
-    double carryVarInflation = 2.0;
+    static constexpr double carryVarInflation = 2.0;
 
     /**
      * Posterior history retained by the streaming engine, in slices;
@@ -103,7 +104,7 @@ struct InferenceResult
     std::size_t epWorkspaceAllocations = 0;
     /**
      * Cumulative buffer growths of the window model (factor graph
-     * slots, names, term scratch) and engine-side staging (levels,
+     * slots, term scratch) and engine-side staging (levels,
      * normalizer, EP result vectors).  Like the workspace counter it
      * stops growing after warm-up: the model is rebuilt in place per
      * window without allocating.
@@ -193,7 +194,6 @@ class WindowedInference
     std::size_t finish();
 
     const std::vector<sim::EventId> &events() const { return events_; }
-    const InferenceConfig &config() const { return config_; }
 
     /** Window length k in slices (resolved from the config). */
     std::size_t windowSlices() const { return k_; }
@@ -333,8 +333,6 @@ class InferenceEngine
 
     /** Infer posteriors for every monitored event at every slice. */
     InferenceResult infer(const sim::PerfResult &measurements) const;
-
-    const InferenceConfig &config() const { return config_; }
 
   private:
     const sim::MicroarchDescriptor &uarch_;

@@ -1,7 +1,6 @@
 #include "core/model_builder.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 
@@ -14,19 +13,12 @@ using graph::VarId;
 
 WindowModel::WindowModel(const sim::MicroarchDescriptor &uarch,
                          const std::vector<sim::EventId> &events,
-                         std::size_t num_slices, ModelConfig config,
+                         std::size_t num_slices, ModelConfig,
                          const std::vector<double> *levels,
                          const std::vector<double> *normalizer)
-    : uarch_(uarch), events_(events), numSlices_(num_slices),
-      config_(config)
+    : uarch_(uarch), events_(events), numSlices_(num_slices)
 {
     bp_assert(!events_.empty(), "window needs at least one event");
-    if (config_.includeLatent) {
-        // Model every catalog event so any posterior can be polled.
-        events_.clear();
-        for (const auto &def : uarch_.events())
-            events_.push_back(def.id);
-    }
     rebuild(num_slices, levels, normalizer);
 }
 
@@ -48,7 +40,7 @@ WindowModel::rebuild(std::size_t num_slices,
         normalizer_.clear();
     }
 
-    if (!config_.includeLatent && levels) {
+    if (levels) {
         bp_assert(levels->size() == events_.size(),
                   "level hints must align with events");
         assignReuse(levels_, *levels);
@@ -62,32 +54,6 @@ WindowModel::rebuild(std::size_t num_slices,
 
     graph_.reset();
     build();
-}
-
-std::string_view
-WindowModel::fmtName(std::string_view prefix, std::string_view base,
-                     std::ptrdiff_t slice)
-{
-    char digits[24];
-    std::string_view suffix;
-    if (slice >= 0) {
-        const auto [end, ec] =
-            std::to_chars(digits, digits + sizeof(digits), slice);
-        (void)ec;
-        suffix = {digits, static_cast<std::size_t>(end - digits)};
-    }
-    const std::size_t needed = prefix.size() + base.size() +
-                               (slice >= 0 ? 1 + suffix.size() : 0);
-    if (nameBuf_.capacity() < needed)
-        ++grows_;
-    nameBuf_.clear();
-    nameBuf_.append(prefix);
-    nameBuf_.append(base);
-    if (slice >= 0) {
-        nameBuf_.push_back('@');
-        nameBuf_.append(suffix);
-    }
-    return nameBuf_;
 }
 
 void
@@ -107,14 +73,11 @@ WindowModel::build()
     for (std::size_t t = 0; t < numSlices_; ++t) {
         for (std::size_t i = 0; i < events_.size(); ++i) {
             const auto &def = uarch_.event(events_[i]);
-            const VarId v =
-                graph_.addVariable(fmtName("", def.name,
-                                           static_cast<std::ptrdiff_t>(t)),
-                                   def.typicalPerSlice);
+            const VarId v = graph_.addVariable(def.typicalPerSlice);
             varOf_[t * events_.size() + i] = v;
             graph_.addGaussianPrior(
-                fmtName("prior:", def.name), v, levels_[i],
-                config_.priorSigmaRel *
+                v, levels_[i],
+                ModelConfig::priorSigmaRel *
                     std::max(levels_[i], 0.05 * def.typicalPerSlice));
         }
     }
@@ -152,9 +115,7 @@ WindowModel::build()
                 termVars_.push_back(var(uarch_.idForRole(term.role), t));
                 termCoeffs_.push_back(term.coeff);
             }
-            graph_.addLinearGaussian(
-                fmtName("", inv.name, static_cast<std::ptrdiff_t>(t)),
-                termVars_, termCoeffs_, 0.0, noise);
+            graph_.addLinearGaussian(termVars_, termCoeffs_, 0.0, noise);
         }
     }
 
@@ -166,15 +127,12 @@ WindowModel::build()
         const double level =
             std::max(levels_[i], 0.25 * def.typicalPerSlice);
         const double noise =
-            std::max(config_.temporalSigmaRel * level, 1e-9);
+            std::max(ModelConfig::temporalSigmaRel * level, 1e-9);
         for (std::size_t t = 1; t < numSlices_; ++t) {
             const VarId walk_vars[2] = {var(events_[i], t),
                                         var(events_[i], t - 1)};
             const double walk_coeffs[2] = {1.0, -1.0};
-            graph_.addLinearGaussian(
-                fmtName("walk:", def.name,
-                        static_cast<std::ptrdiff_t>(t)),
-                walk_vars, walk_coeffs, 0.0, noise);
+            graph_.addLinearGaussian(walk_vars, walk_coeffs, 0.0, noise);
         }
     }
 
@@ -184,7 +142,7 @@ WindowModel::build()
     // with their own independent dynamics (cache misses, DMA) are
     // excluded — dividing them by a varying instruction rate would
     // add noise.
-    if (config_.ratioWalk && !normalizer_.empty()) {
+    if (!normalizer_.empty()) {
         auto tracks_instructions = [](sim::Role role) {
             switch (role) {
               case sim::Role::Loads:
@@ -215,15 +173,13 @@ WindowModel::build()
                 const double n_cur = normalizer_[t];
                 const double n_geo = std::sqrt(n_prev * n_cur);
                 const double noise = std::max(
-                    config_.ratioSigmaRel * level / n_geo, 1e-15);
+                    ModelConfig::ratioSigmaRel * level / n_geo, 1e-15);
                 const VarId ratio_vars[2] = {var(events_[i], t),
                                              var(events_[i], t - 1)};
                 const double ratio_coeffs[2] = {1.0 / n_cur,
                                                 -1.0 / n_prev};
-                graph_.addLinearGaussian(
-                    fmtName("ratio_walk:", def.name,
-                            static_cast<std::ptrdiff_t>(t)),
-                    ratio_vars, ratio_coeffs, 0.0, noise);
+                graph_.addLinearGaussian(ratio_vars, ratio_coeffs, 0.0,
+                                         noise);
             }
         }
     }
@@ -246,9 +202,7 @@ WindowModel::addMeasurement(sim::EventId event, std::size_t slice,
 {
     const VarId v = var(event, slice);
     bp_assert(v != graph::kNoVar, "measurement for unmodeled event");
-    graph_.addStudentT(fmtName("meas:", uarch_.event(event).name,
-                               static_cast<std::ptrdiff_t>(slice)),
-                       v, m.loc, m.scale, m.nu);
+    graph_.addStudentT(v, m.loc, m.scale, m.nu);
 }
 
 void
@@ -258,9 +212,7 @@ WindowModel::addCarryPriors(const std::vector<CarryPrior> &priors)
         const VarId v = var(p.event, 0);
         if (v == graph::kNoVar)
             continue;
-        graph_.addGaussianPrior(fmtName("carry:",
-                                        uarch_.event(p.event).name),
-                                v, p.mean, p.stddev);
+        graph_.addGaussianPrior(v, p.mean, p.stddev);
     }
 }
 

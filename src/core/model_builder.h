@@ -10,21 +10,21 @@
  *     consecutive slices ("⇝" edges, the overlap relationship);
  *   - Student-t measurement factors for slices where the event was
  *     scheduled on a counter (section 4.2).
- * A weak Gaussian prior anchors every variable.
+ * A weak Gaussian prior anchors every variable.  The model's constants
+ * are static members of ModelConfig; their values are hand-fit, and
+ * the model audit on the ROADMAP is to re-derive them.
  *
  * The model is rebuilt once per sliding window, so it recycles like
  * the graph beneath it: rebuild() re-enters construction for the next
- * window reusing every buffer (the graph's slots, the name formatting
- * buffer, term scratch), and bufferGrows() counts the growth events —
- * zero per window in steady state.
+ * window reusing every buffer (the graph's slots, term scratch), and
+ * bufferGrows() counts the growth events — zero per window in steady
+ * state.
  */
 
 #ifndef BPERF_CORE_MODEL_BUILDER_H
 #define BPERF_CORE_MODEL_BUILDER_H
 
-#include <optional>
-#include <string>
-#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/measurement.h"
@@ -35,17 +35,21 @@
 namespace bperf {
 namespace core {
 
-/** Knobs of the window model. */
+/**
+ * Constants of the window model.  Every member is static, so the
+ * struct is empty: InferenceConfig::model and WindowModel's config
+ * parameter only name it.
+ */
 struct ModelConfig
 {
     /** Relative sigma of the per-slice random walk on each event. */
-    double temporalSigmaRel = 0.12;
+    static constexpr double temporalSigmaRel = 0.12;
 
     /** Relative sigma of the weak prior (vs. the event scale hint). */
-    double priorSigmaRel = 4.0;
+    static constexpr double priorSigmaRel = 4.0;
 
     /** Extra relative scale added to every measurement (see 4.2). */
-    double measurementExtraRel = 0.005;
+    static constexpr double measurementExtraRel = 0.005;
 
     /**
      * Floor on a multiplexed measurement's scale as a fraction of the
@@ -53,7 +57,7 @@ struct ModelConfig
      * cycle cannot be trusted below this no matter how well their PMI
      * windows happen to agree.
      */
-    double measurementFloorRel = 0.45;
+    static constexpr double measurementFloorRel = 0.45;
 
     /**
      * Relative (of the location) scale floor for multiplexed
@@ -61,28 +65,18 @@ struct ModelConfig
      * extrapolation noise: large readings are proportionally as
      * uncertain as small ones.
      */
-    double measurementMuxRel = 0.02;
+    static constexpr double measurementMuxRel = 0.02;
 
     /**
-     * When true and a normalizer series is supplied, temporal factors
-     * additionally constrain per-instruction *ratios*:
-     * x_t / N_t - x_{t-1} / N_{t-1} ~ N(0, sigma).  Event-per-
-     * instruction ratios (instruction mix, miss ratios) are far more
-     * stable than raw rates, and the normalizer (the fixed
-     * instruction counter) is measured exactly every slice, so this
-     * stays a linear-Gaussian factor.
+     * Relative sigma of the ratio walk
+     * x_t / N_t - x_{t-1} / N_{t-1} ~ N(0, sigma), built when the
+     * window's instruction counts N are supplied.  The normalizer is
+     * measured exactly every slice, so this stays a linear-Gaussian
+     * factor.
      */
-    bool ratioWalk = true;
-
-    /** Relative sigma of the ratio walk. */
-    double ratioSigmaRel = 0.03;
-
-    /**
-     * When true, events never scheduled (latent) still get variables
-     * so their posterior can be polled, as the BayesPerf API allows.
-     */
-    bool includeLatent = false;
+    static constexpr double ratioSigmaRel = 0.03;
 };
+static_assert(std::is_empty_v<ModelConfig>);
 
 /** Carry-in prior for the oldest slice of a sliding window. */
 struct CarryPrior
@@ -102,23 +96,21 @@ class WindowModel
      * @param uarch       Architecture (invariants + scale hints).
      * @param events      Events modeled (fixed events included).
      * @param num_slices  Number of slices in the window.
-     * @param config      Model knobs.
      * @param levels      Optional per-event current-magnitude hints
      *                    (aligned with `events`); the random-walk and
      *                    prior factors scale with these instead of
      *                    the catalog's typical magnitudes, keeping
      *                    the walk informative when the workload runs
-     *                    far from typical intensity.  Ignored when
-     *                    includeLatent is set.
-     */
-    /**
-     * `normalizer`, when given, holds the per-window-slice measured
-     * values of the normalizing fixed counter (instructions) and
-     * enables the ratio walk; size num_slices.
+     *                    far from typical intensity.
+     * @param normalizer  Optional per-window-slice measured values of
+     *                    the normalizing fixed counter (instructions);
+     *                    enables the ratio walk; size num_slices.
+     *
+     * The ModelConfig argument carries no state (see ModelConfig).
      */
     WindowModel(const sim::MicroarchDescriptor &uarch,
                 const std::vector<sim::EventId> &events,
-                std::size_t num_slices, ModelConfig config,
+                std::size_t num_slices, ModelConfig,
                 const std::vector<double> *levels = nullptr,
                 const std::vector<double> *normalizer = nullptr);
 
@@ -145,7 +137,6 @@ class WindowModel
     void addCarryPriors(const std::vector<CarryPrior> &priors);
 
     const graph::FactorGraph &graph() const { return graph_; }
-    graph::FactorGraph &graph() { return graph_; }
 
     std::size_t numSlices() const { return numSlices_; }
     const std::vector<sim::EventId> &events() const { return events_; }
@@ -162,11 +153,6 @@ class WindowModel
 
   private:
     void build();
-    /** Format "<prefix><base>" or "<prefix><base>@<slice>" into the
-     * reused name buffer. */
-    std::string_view fmtName(std::string_view prefix,
-                             std::string_view base,
-                             std::ptrdiff_t slice = -1);
     /** Capacity-aware copy into a reused vector. */
     template <typename T>
     void assignReuse(std::vector<T> &dst, const std::vector<T> &src)
@@ -179,7 +165,6 @@ class WindowModel
     const sim::MicroarchDescriptor &uarch_;
     std::vector<sim::EventId> events_;
     std::size_t numSlices_;
-    ModelConfig config_;
     std::vector<double> levels_;
     std::vector<double> normalizer_;
     graph::FactorGraph graph_;
@@ -187,8 +172,7 @@ class WindowModel
     std::vector<graph::VarId> varOf_;
     std::vector<std::size_t> eventIndex_; // by EventId, SIZE_MAX if absent
 
-    /** Reused scratch: name formatting + linear-factor terms. */
-    std::string nameBuf_;
+    /** Reused scratch: linear-factor terms. */
     std::vector<graph::VarId> termVars_;
     std::vector<double> termCoeffs_;
     std::size_t grows_ = 0;

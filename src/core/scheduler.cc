@@ -35,12 +35,12 @@ OverlapScheduler::OverlapScheduler(const sim::MicroarchDescriptor &uarch,
 {
     // Event graph: VarId i is catalog event i.
     for (const auto &def : uarch_.events())
-        eventGraph_.addVariable(def.name, def.typicalPerSlice);
+        eventGraph_.addVariable(def.typicalPerSlice);
     for (const auto &inv : uarch_.invariants()) {
         std::vector<std::pair<graph::VarId, double>> terms;
         for (const auto &t : inv.terms)
             terms.emplace_back(uarch_.idForRole(t.role), t.coeff);
-        eventGraph_.addLinearGaussian(inv.name, std::move(terms), 0.0, 1.0);
+        eventGraph_.addLinearGaussian(terms, 0.0, 1.0);
     }
 }
 

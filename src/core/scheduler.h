@@ -70,12 +70,6 @@ class OverlapScheduler
     /** Build the schedule for a monitored event set. */
     ScheduleResult build(const std::vector<sim::EventId> &monitored) const;
 
-    /**
-     * The event-level factor graph: one variable per catalog event
-     * (VarId == EventId), one factor per invariant.
-     */
-    const graph::FactorGraph &eventGraph() const { return eventGraph_; }
-
     /** Markov blanket of an event set within the event graph. */
     std::set<sim::EventId>
     blanketOf(const std::vector<sim::EventId> &events) const;
@@ -121,6 +115,8 @@ class OverlapScheduler
     const sim::MicroarchDescriptor &uarch_;
     SchedulerConfig config_;
     sim::Pmu pmu_;
+    /** The event-level factor graph: one variable per catalog event
+     * (VarId == EventId), one factor per invariant. */
     graph::FactorGraph eventGraph_;
 };
 

@@ -8,44 +8,37 @@
 namespace bperf {
 namespace graph {
 
-void
-FactorGraph::assignName(std::string &dst, std::string_view sv)
+namespace {
+
+bool
+touches(const Factor &f, VarId v)
 {
-    if (dst.capacity() < sv.size())
-        ++grows_;
-    dst.assign(sv.data(), sv.size());
+    return std::find(f.vars.begin(), f.vars.end(), v) != f.vars.end();
 }
 
+} // namespace
+
 VarId
-FactorGraph::addVariable(std::string_view name, double scale_hint)
+FactorGraph::addVariable(double scale_hint)
 {
     bp_assert(scale_hint > 0.0, "scale hint must be positive");
-    const VarId id = static_cast<VarId>(liveVariables_);
     if (liveVariables_ == variables_.size()) {
         ++grows_;
         variables_.emplace_back();
-        varFactors_.emplace_back();
     }
-    Variable &v = variables_[liveVariables_];
-    v.id = id;
-    assignName(v.name, name);
-    v.scaleHint = scale_hint;
-    varFactors_[liveVariables_].clear();
-    ++liveVariables_;
-    return id;
+    variables_[liveVariables_].scaleHint = scale_hint;
+    return static_cast<VarId>(liveVariables_++);
 }
 
 Factor &
-FactorGraph::claimFactor(FactorKind kind, std::string_view name)
+FactorGraph::claimFactor(FactorKind kind)
 {
     if (liveFactors_ == factors_.size()) {
         ++grows_;
         factors_.emplace_back();
     }
     Factor &f = factors_[liveFactors_];
-    f.id = static_cast<FactorId>(liveFactors_);
     f.kind = kind;
-    assignName(f.name, name);
     f.vars.clear();
     f.coeffs.clear();
     f.offset = 0.0;
@@ -58,8 +51,7 @@ FactorGraph::claimFactor(FactorKind kind, std::string_view name)
 }
 
 FactorId
-FactorGraph::addLinearGaussian(std::string_view name,
-                               std::span<const VarId> vars,
+FactorGraph::addLinearGaussian(std::span<const VarId> vars,
                                std::span<const double> coeffs,
                                double offset, double noise_std)
 {
@@ -67,7 +59,7 @@ FactorGraph::addLinearGaussian(std::string_view name,
     bp_assert(vars.size() == coeffs.size(),
               "vars/coeffs length mismatch");
     bp_assert(noise_std > 0.0, "linear factor needs positive noise");
-    Factor &f = claimFactor(FactorKind::LinearGaussian, name);
+    Factor &f = claimFactor(FactorKind::LinearGaussian);
     if (f.vars.capacity() < vars.size())
         ++grows_;
     if (f.coeffs.capacity() < coeffs.size())
@@ -79,19 +71,17 @@ FactorGraph::addLinearGaussian(std::string_view name,
     f.coeffs.assign(coeffs.begin(), coeffs.end());
     f.offset = offset;
     f.noiseStd = noise_std;
-    attach(f.id);
-    return f.id;
+    return indexNewest();
 }
 
 FactorId
-FactorGraph::addLinearGaussian(std::string_view name,
-                               const std::vector<std::pair<VarId, double>>
+FactorGraph::addLinearGaussian(const std::vector<std::pair<VarId, double>>
                                    &terms,
                                double offset, double noise_std)
 {
     bp_assert(!terms.empty(), "linear factor needs terms");
     bp_assert(noise_std > 0.0, "linear factor needs positive noise");
-    Factor &f = claimFactor(FactorKind::LinearGaussian, name);
+    Factor &f = claimFactor(FactorKind::LinearGaussian);
     if (f.vars.capacity() < terms.size())
         ++grows_;
     if (f.coeffs.capacity() < terms.size())
@@ -103,41 +93,36 @@ FactorGraph::addLinearGaussian(std::string_view name,
     }
     f.offset = offset;
     f.noiseStd = noise_std;
-    attach(f.id);
-    return f.id;
+    return indexNewest();
 }
 
 FactorId
-FactorGraph::addStudentT(std::string_view name, VarId var, double loc,
-                         double scale, double nu)
+FactorGraph::addStudentT(VarId var, double loc, double scale, double nu)
 {
     bp_assert(var < liveVariables_, "factor references missing var");
     bp_assert(scale > 0.0 && nu > 0.0, "bad Student-t parameters");
-    Factor &f = claimFactor(FactorKind::StudentT, name);
+    Factor &f = claimFactor(FactorKind::StudentT);
     if (f.vars.capacity() < 1)
         ++grows_;
     f.vars.push_back(var);
     f.loc = loc;
     f.scale = scale;
     f.nu = nu;
-    attach(f.id);
-    return f.id;
+    return indexNewest();
 }
 
 FactorId
-FactorGraph::addGaussianPrior(std::string_view name, VarId var,
-                              double mean, double stddev)
+FactorGraph::addGaussianPrior(VarId var, double mean, double stddev)
 {
     bp_assert(var < liveVariables_, "factor references missing var");
     bp_assert(stddev > 0.0, "bad prior stddev");
-    Factor &f = claimFactor(FactorKind::GaussianPrior, name);
+    Factor &f = claimFactor(FactorKind::GaussianPrior);
     if (f.vars.capacity() < 1)
         ++grows_;
     f.vars.push_back(var);
     f.loc = mean;
     f.scale = stddev;
-    attach(f.id);
-    return f.id;
+    return indexNewest();
 }
 
 void
@@ -147,24 +132,18 @@ FactorGraph::reset()
     liveFactors_ = 0;
     for (auto &index : kindFactors_)
         index.clear();
-    // varFactors_ rows are cleared lazily as addVariable reclaims
-    // their slots; retained slots keep strings and term vectors.
 }
 
-void
-FactorGraph::attach(FactorId fid)
+FactorId
+FactorGraph::indexNewest()
 {
-    for (VarId v : factors_[fid].vars) {
-        auto &row = varFactors_[v];
-        if (row.size() == row.capacity())
-            ++grows_;
-        row.push_back(fid);
-    }
+    const FactorId fid = static_cast<FactorId>(liveFactors_ - 1);
     auto &index =
         kindFactors_[static_cast<std::size_t>(factors_[fid].kind)];
     if (index.size() == index.capacity())
         ++grows_;
     index.push_back(fid);
+    return fid;
 }
 
 const Variable &
@@ -182,13 +161,6 @@ FactorGraph::factor(FactorId f) const
 }
 
 const std::vector<FactorId> &
-FactorGraph::factorsOf(VarId v) const
-{
-    bp_assert(v < liveVariables_, "variable id out of range");
-    return varFactors_[v];
-}
-
-const std::vector<FactorId> &
 FactorGraph::factorsOfKind(FactorKind kind) const
 {
     return kindFactors_[static_cast<std::size_t>(kind)];
@@ -197,11 +169,13 @@ FactorGraph::factorsOfKind(FactorKind kind) const
 std::set<VarId>
 FactorGraph::markovBlanket(VarId v) const
 {
+    bp_assert(v < liveVariables_, "variable id out of range");
     std::set<VarId> blanket;
-    for (FactorId f : factorsOf(v))
-        for (VarId u : factors_[f].vars)
-            if (u != v)
-                blanket.insert(u);
+    for (const Factor &f : factors())
+        if (touches(f, v))
+            for (VarId u : f.vars)
+                if (u != v)
+                    blanket.insert(u);
     return blanket;
 }
 
@@ -232,8 +206,10 @@ FactorGraph::shortestPath(VarId from, VarId to) const
     while (!queue.empty()) {
         const VarId v = queue.front();
         queue.pop_front();
-        for (FactorId f : factorsOf(v)) {
-            for (VarId u : factors_[f].vars) {
+        for (const Factor &f : factors()) {
+            if (!touches(f, v))
+                continue;
+            for (VarId u : f.vars) {
                 if (visited[u])
                     continue;
                 visited[u] = true;

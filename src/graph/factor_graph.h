@@ -4,17 +4,18 @@
  *
  * The graph is the paper's central data structure (section 4.1): its
  * variables are event values, its factors the statistical
- * relationships between them.  Besides holding the model it provides
- * the structural queries the scheduler needs — Markov blankets and
- * shortest variable-to-variable paths.
+ * relationships between them.  It holds only what the Gaussian solver
+ * and EP read — no names and no variable-to-factor adjacency index.
+ * The structural queries the scheduler runs on its small event graph
+ * (Markov blankets, shortest paths) scan the factor list instead.
  *
  * Graphs are rebuilt per sliding window, so the container recycles:
  * reset() drops the logical contents but keeps every buffer (variable
- * and factor slots, their name strings, term vectors, adjacency rows),
- * and subsequent add*() calls reuse those slots in place.  A
- * steady-state window rebuild therefore allocates nothing — the
- * bufferGrows() counter, which ticks once per underlying buffer
- * growth, is the invariant the engine tests assert.
+ * and factor slots, term vectors, the per-kind index), and subsequent
+ * add*() calls reuse those slots in place.  A steady-state window
+ * rebuild therefore allocates nothing — the bufferGrows() counter,
+ * which ticks once per underlying buffer growth, is the invariant the
+ * engine tests assert.
  */
 
 #ifndef BPERF_GRAPH_FACTOR_GRAPH_H
@@ -25,8 +26,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
-#include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace bperf {
@@ -57,8 +57,6 @@ static_assert(kFactorKindCount ==
 /** One variable (an event value at a time slice). */
 struct Variable
 {
-    VarId id = kNoVar;
-    std::string name;
     /** Typical magnitude, used to condition the linear algebra. */
     double scaleHint = 1.0;
 };
@@ -66,9 +64,7 @@ struct Variable
 /** One factor. */
 struct Factor
 {
-    FactorId id = 0;
     FactorKind kind = FactorKind::LinearGaussian;
-    std::string name;
     std::vector<VarId> vars;
 
     // LinearGaussian parameters (coeffs aligned with vars).
@@ -83,59 +79,46 @@ struct Factor
 };
 
 /**
- * The factor graph: variables, factors, adjacency and structural
- * queries.
+ * The factor graph: variables, factors, a per-kind factor index and
+ * structural queries.  Ids are insertion positions.
  */
 class FactorGraph
 {
   public:
     /** Add a variable; returns its id. */
-    VarId addVariable(std::string_view name, double scale_hint);
+    VarId addVariable(double scale_hint);
 
     /** Add `sum coeff_i x_i + offset ~ N(0, noise_std^2)`. */
-    FactorId addLinearGaussian(std::string_view name,
-                               std::span<const VarId> vars,
+    FactorId addLinearGaussian(std::span<const VarId> vars,
                                std::span<const double> coeffs,
                                double offset, double noise_std);
 
     /** Convenience overload taking (var, coeff) pairs. */
-    FactorId addLinearGaussian(std::string_view name,
-                               const std::vector<std::pair<VarId, double>>
+    FactorId addLinearGaussian(const std::vector<std::pair<VarId, double>>
                                    &terms,
                                double offset, double noise_std);
 
     /** Add a Student-t measurement factor on one variable. */
-    FactorId addStudentT(std::string_view name, VarId var, double loc,
-                         double scale, double nu);
+    FactorId addStudentT(VarId var, double loc, double scale, double nu);
 
     /** Add a Gaussian prior on one variable. */
-    FactorId addGaussianPrior(std::string_view name, VarId var,
-                              double mean, double stddev);
+    FactorId addGaussianPrior(VarId var, double mean, double stddev);
 
     /**
-     * Empty the graph logically while retaining every buffer: the
-     * variable/factor slot arrays keep their slots (and those slots
-     * keep their strings and term vectors), adjacency rows keep their
-     * capacity.  The next build cycle refills them in place.
+     * Empty the graph logically while retaining every buffer (slots,
+     * their term vectors, the per-kind index); the next build cycle
+     * refills them in place.
      */
     void reset();
 
     std::size_t numVariables() const { return liveVariables_; }
-    std::size_t numFactors() const { return liveFactors_; }
 
     const Variable &variable(VarId v) const;
     const Factor &factor(FactorId f) const;
-    std::span<const Variable> variables() const
-    {
-        return {variables_.data(), liveVariables_};
-    }
     std::span<const Factor> factors() const
     {
         return {factors_.data(), liveFactors_};
     }
-
-    /** Factors attached to a variable. */
-    const std::vector<FactorId> &factorsOf(VarId v) const;
 
     /**
      * Ids of all factors of one kind, in insertion order.  Maintained
@@ -147,10 +130,10 @@ class FactorGraph
 
     /**
      * Cumulative buffer-growth events: ticks whenever an add*() call
-     * had to grow an underlying buffer (new slot, longer name, more
-     * terms than the recycled slot ever held).  Constant across
-     * steady-state reset()/rebuild cycles — the zero-allocation
-     * invariant the window engine asserts.
+     * had to grow an underlying buffer (new slot, more terms than the
+     * recycled slot ever held).  Constant across steady-state
+     * reset()/rebuild cycles — the zero-allocation invariant the
+     * window engine asserts.
      */
     std::size_t bufferGrows() const { return grows_; }
 
@@ -165,21 +148,22 @@ class FactorGraph
 
     /**
      * Shortest variable path between two variables, traversing
-     * factors at unit cost (BFS).  Returns the sequence of variables
-     * including both endpoints, or empty if disconnected.
+     * factors at unit cost (BFS).  A variable's neighbours are visited
+     * factor by factor in insertion order, so ties between equally
+     * short paths go to the earlier-inserted factor.  Returns the
+     * sequence of variables including both endpoints, or empty if
+     * disconnected.
      */
     std::vector<VarId> shortestPath(VarId from, VarId to) const;
 
   private:
     /** Claim the next factor slot (recycled or new) for `kind`. */
-    Factor &claimFactor(FactorKind kind, std::string_view name);
-    void attach(FactorId f);
-    /** Copy `sv` into `dst` reusing its capacity. */
-    void assignName(std::string &dst, std::string_view sv);
+    Factor &claimFactor(FactorKind kind);
+    /** Append the newest factor to its kind index; returns its id. */
+    FactorId indexNewest();
 
     std::vector<Variable> variables_;
     std::vector<Factor> factors_;
-    std::vector<std::vector<FactorId>> varFactors_;
     /** Indexed by static_cast<std::size_t>(FactorKind). */
     std::array<std::vector<FactorId>, kFactorKindCount> kindFactors_;
 

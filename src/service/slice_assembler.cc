@@ -1,6 +1,7 @@
 #include "service/slice_assembler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
@@ -24,6 +25,21 @@ recordsRejectedCounter()
     static telemetry::Counter &c =
         telemetry::MetricsRegistry::global().counter("records.rejected");
     return c;
+}
+
+/**
+ * The record contract: a finite, non-negative value and finite time
+ * fields with 0 <= timeRunning <= timeEnabled.  A record that breaks
+ * it would reach the window model as a NaN, infinite or negative
+ * count.
+ */
+bool
+wellFormed(const sim::PerfRecord &rec)
+{
+    return std::isfinite(rec.value) && rec.value >= 0.0 &&
+           std::isfinite(rec.timeEnabled) &&
+           std::isfinite(rec.timeRunning) && rec.timeRunning >= 0.0 &&
+           rec.timeRunning <= rec.timeEnabled;
 }
 
 } // namespace
@@ -69,7 +85,7 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
 {
     const std::size_t idx =
         rec.event < eventIndex_.size() ? eventIndex_[rec.event] : SIZE_MAX;
-    if (idx == SIZE_MAX || rec.slice < frontSlice_ ||
+    if (idx == SIZE_MAX || !wellFormed(rec) || rec.slice < frontSlice_ ||
         (open_ && rec.slice < curSlice_)) {
         ++rejected_;
         recordsRejectedCounter().add();

@@ -51,8 +51,11 @@ class SliceAssembler
      * the slice index stays a wall-clock time base.  Returns the
      * number of slices appended.
      *
-     * Records for unknown events or for slices older than the current
-     * assembly front are counted as rejected and dropped.
+     * Records for unknown events, for slices older than the current
+     * assembly front, or that break the record contract (a
+     * non-finite or negative value; non-finite time fields; a
+     * negative timeRunning or one above timeEnabled) are counted as
+     * rejected and dropped before they touch any assembly state.
      */
     std::size_t feed(const sim::PerfRecord &rec,
                      std::vector<core::SliceMeasurements> &out);

@@ -1,6 +1,5 @@
 #include "service/streaming_inference.h"
 
-#include "common/logging.h"
 #include "telemetry/telemetry.h"
 
 namespace bperf {
@@ -37,17 +36,6 @@ StreamingInference::finish()
         windows += engine_.push(slice);
     windows += engine_.finish();
     return windows;
-}
-
-core::PosteriorPoint
-StreamingInference::latest(sim::EventId event) const
-{
-    const auto &events = engine_.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (events[i] == event)
-            return engine_.latest(i);
-    }
-    bp_panic("event not monitored by this session: id " << event);
 }
 
 } // namespace service

@@ -75,9 +75,6 @@ class StreamingInference
         return engine_.events();
     }
 
-    /** Posterior of `event` at the most recent inferred slice. */
-    core::PosteriorPoint latest(sim::EventId event) const;
-
     /** Slice-level streaming engine (posterior series, counters). */
     const core::WindowedInference &engine() const { return engine_; }
 
@@ -97,24 +94,9 @@ class StreamingInference
      * the assemble stamp of the windows that record completed. */
     std::uint64_t assembledNanos() const { return assembledNanos_; }
 
-    std::uint64_t recordsConsumed() const
-    {
-        return assembler_.recordsAccepted();
-    }
     std::uint64_t recordsRejected() const
     {
         return assembler_.recordsRejected();
-    }
-    std::size_t slicesAssembled() const { return engine_.slicesSeen(); }
-
-    /**
-     * Buffer-growth events of the session's reused EP workspace;
-     * constant once the session reaches steady state (allocation-free
-     * window solves).
-     */
-    std::size_t epWorkspaceAllocations() const
-    {
-        return engine_.epWorkspaceAllocations();
     }
 
     /** Assemble the session's full posterior result (destructive). */

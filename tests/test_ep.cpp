@@ -162,17 +162,17 @@ FactorGraph
 makeChain(double nu)
 {
     FactorGraph g;
-    const auto a = g.addVariable("a", 10.0);
-    const auto b = g.addVariable("b", 10.0);
-    const auto c = g.addVariable("c", 10.0);
-    g.addGaussianPrior("pa", a, 10.0, 20.0);
-    g.addGaussianPrior("pb", b, 10.0, 20.0);
-    g.addGaussianPrior("pc", c, 10.0, 20.0);
+    const auto a = g.addVariable(10.0);
+    const auto b = g.addVariable(10.0);
+    const auto c = g.addVariable(10.0);
+    g.addGaussianPrior(a, 10.0, 20.0);
+    g.addGaussianPrior(b, 10.0, 20.0);
+    g.addGaussianPrior(c, 10.0, 20.0);
     // a + b = c (tight linear invariant).
-    g.addLinearGaussian("sum", {{a, 1.0}, {b, 1.0}, {c, -1.0}}, 0.0, 0.01);
-    g.addStudentT("ma", a, 4.0, 1.0, nu);
-    g.addStudentT("mb", b, 6.0, 1.0, nu);
-    g.addStudentT("mc", c, 11.0, 1.0, nu);
+    g.addLinearGaussian({{a, 1.0}, {b, 1.0}, {c, -1.0}}, 0.0, 0.01);
+    g.addStudentT(a, 4.0, 1.0, nu);
+    g.addStudentT(b, 6.0, 1.0, nu);
+    g.addStudentT(c, 11.0, 1.0, nu);
     return g;
 }
 
@@ -191,16 +191,16 @@ TEST(ExpectationPropagation, MatchesExactGaussianInference)
 
     // Exact: treat the t factors as Gaussian priors.
     FactorGraph ge;
-    const auto a = ge.addVariable("a", 10.0);
-    const auto b = ge.addVariable("b", 10.0);
-    const auto c = ge.addVariable("c", 10.0);
-    ge.addGaussianPrior("pa", a, 10.0, 20.0);
-    ge.addGaussianPrior("pb", b, 10.0, 20.0);
-    ge.addGaussianPrior("pc", c, 10.0, 20.0);
-    ge.addLinearGaussian("sum", {{a, 1.0}, {b, 1.0}, {c, -1.0}}, 0.0, 0.01);
-    ge.addGaussianPrior("ma", a, 4.0, 1.0);
-    ge.addGaussianPrior("mb", b, 6.0, 1.0);
-    ge.addGaussianPrior("mc", c, 11.0, 1.0);
+    const auto a = ge.addVariable(10.0);
+    const auto b = ge.addVariable(10.0);
+    const auto c = ge.addVariable(10.0);
+    ge.addGaussianPrior(a, 10.0, 20.0);
+    ge.addGaussianPrior(b, 10.0, 20.0);
+    ge.addGaussianPrior(c, 10.0, 20.0);
+    ge.addLinearGaussian({{a, 1.0}, {b, 1.0}, {c, -1.0}}, 0.0, 0.01);
+    ge.addGaussianPrior(a, 4.0, 1.0);
+    ge.addGaussianPrior(b, 6.0, 1.0);
+    ge.addGaussianPrior(c, 11.0, 1.0);
     graph::GaussianSolver solver(ge);
     const graph::GaussianJoint exact = solver.solve();
 
@@ -301,11 +301,11 @@ TEST(ExpectationPropagation, UnbiasedUnderSymmetricNoise)
     const int trials = 60;
     for (int trial = 0; trial < trials; ++trial) {
         FactorGraph g;
-        const auto x = g.addVariable("x", 100.0);
-        g.addGaussianPrior("p", x, 100.0, 400.0);
+        const auto x = g.addVariable(100.0);
+        g.addGaussianPrior(x, 100.0, 400.0);
         for (int i = 0; i < 3; ++i) {
             const double m = truth * (1.0 + 0.3 * rng.normal());
-            g.addStudentT("m", x, m, 30.0, 3.0);
+            g.addStudentT(x, m, 30.0, 3.0);
         }
         const EpResult r = ExpectationPropagation().run(g);
         sum += r.mean[0];

@@ -103,24 +103,20 @@ makeWindowGraph(std::size_t k, bool degenerate)
     std::vector<std::vector<graph::VarId>> var(E);
     for (std::size_t e = 0; e < E; ++e) {
         for (std::size_t t = 0; t < k; ++t)
-            var[e].push_back(g.addVariable(
-                "e" + std::to_string(e) + "_t" + std::to_string(t),
-                level[e]));
+            var[e].push_back(g.addVariable(level[e]));
     }
 
     for (std::size_t e = 0; e < E; ++e) {
         // Carry prior on the first slice.
-        g.addGaussianPrior("carry", var[e][0], level[e], 0.3 * level[e]);
+        g.addGaussianPrior(var[e][0], level[e], 0.3 * level[e]);
         // Random walk along slices.
         for (std::size_t t = 0; t + 1 < k; ++t)
-            g.addLinearGaussian("walk",
-                                {{var[e][t], 1.0}, {var[e][t + 1], -1.0}},
+            g.addLinearGaussian({{var[e][t], 1.0}, {var[e][t + 1], -1.0}},
                                 0.0, 0.1 * level[e]);
     }
     // Invariant: e0 + e1 = e2 at every slice (tight).
     for (std::size_t t = 0; t < k; ++t)
         g.addLinearGaussian(
-            "inv",
             {{var[0][t], 1.0}, {var[1][t], 1.0}, {var[2][t], -1.0}}, 0.0,
             0.01 * level[2]);
 
@@ -132,7 +128,7 @@ makeWindowGraph(std::size_t k, bool degenerate)
             const double obs =
                 level[e] * (1.0 + 0.2 * rng.normal());
             const double nu = (e % 2 == 0) ? 3.0 : 30.0;
-            g.addStudentT("m", var[e][t], obs, 0.08 * level[e], nu);
+            g.addStudentT(var[e][t], obs, 0.08 * level[e], nu);
         }
     }
 
@@ -142,7 +138,7 @@ makeWindowGraph(std::size_t k, bool degenerate)
         // marginal precision below double resolution, so the cavity
         // division cancels to an improper (<= 0 precision) Gaussian
         // and EP must take the skippedUpdates path every sweep.
-        g.addStudentT("tight", var[3][0], 0.9e4, 1e-6, 3.0);
+        g.addStudentT(var[3][0], 0.9e4, 1e-6, 3.0);
     }
     return g;
 }

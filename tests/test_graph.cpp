@@ -55,13 +55,13 @@ chainGraph()
 {
     // a - f1 - b - f2 - c, plus d isolated-ish via f3(d, a).
     FactorGraph g;
-    const auto a = g.addVariable("a", 1.0);
-    const auto b = g.addVariable("b", 1.0);
-    const auto c = g.addVariable("c", 1.0);
-    const auto d = g.addVariable("d", 1.0);
-    g.addLinearGaussian("f1", {{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
-    g.addLinearGaussian("f2", {{b, 1.0}, {c, -1.0}}, 0.0, 1.0);
-    g.addLinearGaussian("f3", {{d, 1.0}, {a, -1.0}}, 0.0, 1.0);
+    const auto a = g.addVariable(1.0);
+    const auto b = g.addVariable(1.0);
+    const auto c = g.addVariable(1.0);
+    const auto d = g.addVariable(1.0);
+    g.addLinearGaussian({{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
+    g.addLinearGaussian({{b, 1.0}, {c, -1.0}}, 0.0, 1.0);
+    g.addLinearGaussian({{d, 1.0}, {a, -1.0}}, 0.0, 1.0);
     return g;
 }
 
@@ -90,18 +90,62 @@ TEST(FactorGraph, ShortestPathFollowsChain)
 TEST(FactorGraph, DisconnectedPathIsEmpty)
 {
     FactorGraph g;
-    g.addVariable("a", 1.0);
-    g.addVariable("b", 1.0);
+    g.addVariable(1.0);
+    g.addVariable(1.0);
     EXPECT_TRUE(g.shortestPath(0, 1).empty());
+}
+
+TEST(FactorGraph, BlanketCollectsEveryFactorOfAVariable)
+{
+    // a sits in a prior, a three-term factor, a measurement and a
+    // two-term factor; the factor on (c, e) does not touch it.
+    FactorGraph g;
+    const VarId a = g.addVariable(1.0);
+    const VarId b = g.addVariable(1.0);
+    const VarId c = g.addVariable(1.0);
+    const VarId d = g.addVariable(1.0);
+    const VarId e = g.addVariable(1.0);
+    g.addGaussianPrior(a, 0.0, 1.0);
+    g.addLinearGaussian({{a, 1.0}, {b, 1.0}, {c, -1.0}}, 0.0, 1.0);
+    g.addStudentT(a, 1.0, 1.0, 3.0);
+    g.addLinearGaussian({{c, 1.0}, {e, -1.0}}, 0.0, 1.0);
+    g.addLinearGaussian({{d, 1.0}, {a, -1.0}}, 0.0, 1.0);
+
+    EXPECT_EQ(g.markovBlanket(a), (std::set<VarId>{b, c, d}));
+    EXPECT_EQ(g.markovBlanket(c), (std::set<VarId>{a, b, e}));
+    EXPECT_EQ(g.markovBlanketOfSet({a, c}), (std::set<VarId>{b, d, e}));
+}
+
+TEST(FactorGraph, ShortestPathTieGoesToEarlierFactor)
+{
+    // Two paths of length 2 from s to t: through u (the lower id) and
+    // through w.  The one whose first factor was inserted first wins,
+    // whatever the variable ids.
+    auto path = [](bool w_first) {
+        FactorGraph g;
+        const VarId s = g.addVariable(1.0);
+        const VarId t = g.addVariable(1.0);
+        const VarId u = g.addVariable(1.0);
+        const VarId w = g.addVariable(1.0);
+        const VarId first = w_first ? w : u;
+        const VarId second = w_first ? u : w;
+        g.addLinearGaussian({{s, 1.0}, {first, -1.0}}, 0.0, 1.0);
+        g.addLinearGaussian({{s, 1.0}, {second, -1.0}}, 0.0, 1.0);
+        g.addLinearGaussian({{u, 1.0}, {t, -1.0}}, 0.0, 1.0);
+        g.addLinearGaussian({{w, 1.0}, {t, -1.0}}, 0.0, 1.0);
+        return g.shortestPath(s, t);
+    };
+    EXPECT_EQ(path(true), (std::vector<VarId>{0, 3, 1}));  // s, w, t
+    EXPECT_EQ(path(false), (std::vector<VarId>{0, 2, 1})); // s, u, t
 }
 
 TEST(GaussianSolver, SingleVariablePosterior)
 {
     // Prior N(0, 1), Gaussian observation N(4, 1) -> posterior N(2, 0.5).
     FactorGraph g;
-    const auto x = g.addVariable("x", 1.0);
-    g.addGaussianPrior("p", x, 0.0, 1.0);
-    g.addGaussianPrior("m", x, 4.0, 1.0);
+    const auto x = g.addVariable(1.0);
+    g.addGaussianPrior(x, 0.0, 1.0);
+    g.addGaussianPrior(x, 4.0, 1.0);
     const auto joint = GaussianSolver(g).solve();
     EXPECT_NEAR(joint.mean[0], 2.0, 1e-9);
     EXPECT_NEAR(joint.covariance(0, 0), 0.5, 1e-9);
@@ -112,11 +156,11 @@ TEST(GaussianSolver, LinearConstraintCouplesVariables)
     // x ~ N(0, 1), y ~ N(10, 1), constraint x = y (tight):
     // both posteriors -> 5 with strong correlation.
     FactorGraph g;
-    const auto x = g.addVariable("x", 1.0);
-    const auto y = g.addVariable("y", 1.0);
-    g.addGaussianPrior("px", x, 0.0, 1.0);
-    g.addGaussianPrior("py", y, 10.0, 1.0);
-    g.addLinearGaussian("eq", {{x, 1.0}, {y, -1.0}}, 0.0, 1e-4);
+    const auto x = g.addVariable(1.0);
+    const auto y = g.addVariable(1.0);
+    g.addGaussianPrior(x, 0.0, 1.0);
+    g.addGaussianPrior(y, 10.0, 1.0);
+    g.addLinearGaussian({{x, 1.0}, {y, -1.0}}, 0.0, 1e-4);
     const auto joint = GaussianSolver(g).solve();
     EXPECT_NEAR(joint.mean[0], 5.0, 1e-3);
     EXPECT_NEAR(joint.mean[1], 5.0, 1e-3);
@@ -132,11 +176,11 @@ TEST(GaussianSolver, ScaleHintsDoNotChangeAnswer)
     // produce identical posteriors (hints only precondition).
     auto build = [](double hint) {
         FactorGraph g;
-        const auto x = g.addVariable("x", hint);
-        const auto y = g.addVariable("y", hint * 100.0);
-        g.addGaussianPrior("px", x, 1.0e6, 1.0e6);
-        g.addGaussianPrior("py", y, 2.0e6, 1.0e6);
-        g.addLinearGaussian("f", {{x, 1.0}, {y, -0.5}}, 0.0, 1e3);
+        const auto x = g.addVariable(hint);
+        const auto y = g.addVariable(hint * 100.0);
+        g.addGaussianPrior(x, 1.0e6, 1.0e6);
+        g.addGaussianPrior(y, 2.0e6, 1.0e6);
+        g.addLinearGaussian({{x, 1.0}, {y, -0.5}}, 0.0, 1e3);
         return GaussianSolver(g).solve();
     };
     const auto a = build(4.0e5);
@@ -149,8 +193,8 @@ TEST(GaussianSolver, ScaleHintsDoNotChangeAnswer)
 TEST(GaussianSolver, SitesActAsExtraPriors)
 {
     FactorGraph g;
-    const auto x = g.addVariable("x", 1.0);
-    g.addGaussianPrior("p", x, 0.0, 1.0);
+    const auto x = g.addVariable(1.0);
+    g.addGaussianPrior(x, 0.0, 1.0);
     std::vector<Gaussian> sites{Gaussian::fromMeanVar(4.0, 1.0)};
     const auto joint = GaussianSolver(g).solve(sites);
     EXPECT_NEAR(joint.mean[0], 2.0, 1e-9);
@@ -160,9 +204,9 @@ TEST(GaussianSolver, OffsetShiftsSolution)
 {
     // x - 3 ~ N(0, small) -> x = 3.
     FactorGraph g;
-    const auto x = g.addVariable("x", 1.0);
-    g.addGaussianPrior("p", x, 0.0, 100.0);
-    g.addLinearGaussian("obs", {{x, 1.0}}, -3.0, 1e-3);
+    const auto x = g.addVariable(1.0);
+    g.addGaussianPrior(x, 0.0, 100.0);
+    g.addLinearGaussian({{x, 1.0}}, -3.0, 1e-3);
     const auto joint = GaussianSolver(g).solve();
     EXPECT_NEAR(joint.mean[0], 3.0, 1e-3);
 }
@@ -170,11 +214,11 @@ TEST(GaussianSolver, OffsetShiftsSolution)
 TEST(GaussianSolver, DetectsNonGaussianFactors)
 {
     FactorGraph g;
-    const auto x = g.addVariable("x", 1.0);
-    g.addGaussianPrior("p", x, 0.0, 1.0);
+    const auto x = g.addVariable(1.0);
+    g.addGaussianPrior(x, 0.0, 1.0);
     GaussianSolver s1(g);
     EXPECT_FALSE(s1.hasNonGaussianFactors());
-    g.addStudentT("m", x, 1.0, 1.0, 3.0);
+    g.addStudentT(x, 1.0, 1.0, 3.0);
     GaussianSolver s2(g);
     EXPECT_TRUE(s2.hasNonGaussianFactors());
 }
@@ -182,13 +226,13 @@ TEST(GaussianSolver, DetectsNonGaussianFactors)
 TEST(FactorGraph, FactorsOfKindTracksInsertionOrder)
 {
     FactorGraph g;
-    const VarId a = g.addVariable("a", 1.0);
-    const VarId b = g.addVariable("b", 1.0);
-    const FactorId p = g.addGaussianPrior("p", a, 0.0, 1.0);
-    const FactorId m = g.addStudentT("m", a, 0.0, 1.0, 3.0);
+    const VarId a = g.addVariable(1.0);
+    const VarId b = g.addVariable(1.0);
+    const FactorId p = g.addGaussianPrior(a, 0.0, 1.0);
+    const FactorId m = g.addStudentT(a, 0.0, 1.0, 3.0);
     const FactorId l =
-        g.addLinearGaussian("l", {{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
-    const FactorId m2 = g.addStudentT("m2", b, 1.0, 1.0, 3.0);
+        g.addLinearGaussian({{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
+    const FactorId m2 = g.addStudentT(b, 1.0, 1.0, 3.0);
 
     EXPECT_EQ(g.factorsOfKind(FactorKind::GaussianPrior),
               std::vector<FactorId>{p});
@@ -201,11 +245,11 @@ TEST(FactorGraph, FactorsOfKindTracksInsertionOrder)
 TEST(GaussianSolver, SolveIntoReusesBuffersAcrossSolves)
 {
     FactorGraph g;
-    const VarId a = g.addVariable("a", 10.0);
-    const VarId b = g.addVariable("b", 10.0);
-    g.addGaussianPrior("pa", a, 5.0, 2.0);
-    g.addGaussianPrior("pb", b, 7.0, 2.0);
-    g.addLinearGaussian("tie", {{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
+    const VarId a = g.addVariable(10.0);
+    const VarId b = g.addVariable(10.0);
+    g.addGaussianPrior(a, 5.0, 2.0);
+    g.addGaussianPrior(b, 7.0, 2.0);
+    g.addLinearGaussian({{a, 1.0}, {b, -1.0}}, 0.0, 1.0);
 
     GaussianSolver solver(g);
     GaussianJoint joint;
@@ -228,14 +272,14 @@ TEST(GaussianSolver, SolveIntoReusesBuffersAcrossSolves)
 TEST(BlockedJointUpdater, MatchesFullResolveAtEveryBlockSize)
 {
     FactorGraph g;
-    const VarId a = g.addVariable("a", 10.0);
-    const VarId b = g.addVariable("b", 1000.0);
-    const VarId c = g.addVariable("c", 0.1);
-    g.addGaussianPrior("pa", a, 12.0, 4.0);
-    g.addGaussianPrior("pb", b, 900.0, 300.0);
-    g.addGaussianPrior("pc", c, 0.09, 0.05);
-    g.addLinearGaussian("ab", {{a, 100.0}, {b, -1.0}}, 0.0, 50.0);
-    g.addLinearGaussian("bc", {{b, 1.0}, {c, -1e4}}, 0.0, 80.0);
+    const VarId a = g.addVariable(10.0);
+    const VarId b = g.addVariable(1000.0);
+    const VarId c = g.addVariable(0.1);
+    g.addGaussianPrior(a, 12.0, 4.0);
+    g.addGaussianPrior(b, 900.0, 300.0);
+    g.addGaussianPrior(c, 0.09, 0.05);
+    g.addLinearGaussian({{a, 100.0}, {b, -1.0}}, 0.0, 50.0);
+    g.addLinearGaussian({{b, 1.0}, {c, -1e4}}, 0.0, 80.0);
     GaussianSolver solver(g);
 
     // A chain of site changes (updates and downdates); re-solving from
@@ -296,8 +340,8 @@ TEST(BlockedJointUpdater, MatchesFullResolveAtEveryBlockSize)
 TEST(BlockedJointUpdater, RefusesIllConditionedUpdates)
 {
     FactorGraph g;
-    const VarId a = g.addVariable("a", 1.0);
-    g.addGaussianPrior("pa", a, 0.0, 1.0);
+    const VarId a = g.addVariable(1.0);
+    g.addGaussianPrior(a, 0.0, 1.0);
     GaussianSolver solver(g);
 
     for (std::size_t block : {1u, 3u, 8u}) {

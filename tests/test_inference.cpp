@@ -33,56 +33,100 @@ TEST(WindowModel, VariablesPerEventAndSlice)
               graph::kNoVar);
 }
 
+/** Window slice of a model variable (the inverse of WindowModel::var). */
+std::size_t
+sliceOf(const WindowModel &model, graph::VarId v)
+{
+    for (std::size_t t = 0; t < model.numSlices(); ++t)
+        for (EventId e : model.events())
+            if (model.var(e, t) == v)
+                return t;
+    ADD_FAILURE() << "variable " << v << " is in no slice";
+    return 0;
+}
+
+/**
+ * The model's linear factors split by the slices they touch: an
+ * invariant ties events within one slice, a walk (raw or ratio) ties
+ * one event across two consecutive slices.
+ */
+struct LinearFactors
+{
+    std::vector<const graph::Factor *> invariants;
+    std::vector<const graph::Factor *> walks;
+};
+
+LinearFactors
+linearFactors(const WindowModel &model)
+{
+    LinearFactors out;
+    const auto &g = model.graph();
+    for (graph::FactorId f :
+         g.factorsOfKind(graph::FactorKind::LinearGaussian)) {
+        const graph::Factor &factor = g.factor(f);
+        std::size_t lo = model.numSlices(), hi = 0;
+        for (graph::VarId v : factor.vars) {
+            lo = std::min(lo, sliceOf(model, v));
+            hi = std::max(hi, sliceOf(model, v));
+        }
+        (lo == hi ? out.invariants : out.walks).push_back(&factor);
+    }
+    return out;
+}
+
 TEST(WindowModel, InvariantsOnlyWhenCovered)
 {
     const auto uarch = sim::makeX86Skylake();
     // Cycles alone covers no invariant (all need >= 2 modeled roles).
     WindowModel lone(uarch, {uarch.idForRole(Role::Cycles)}, 1, {});
-    std::size_t invariant_factors = 0;
-    for (const auto &f : lone.graph().factors())
-        if (f.kind == graph::FactorKind::LinearGaussian &&
-            f.name.find("walk") == std::string::npos)
-            ++invariant_factors;
-    EXPECT_EQ(invariant_factors, 0u);
+    EXPECT_TRUE(linearFactors(lone).invariants.empty());
 
-    // Cycles + active + stall_total covers cycle_accounting.
-    WindowModel covered(uarch,
-                        {uarch.idForRole(Role::Cycles),
-                         uarch.idForRole(Role::ActiveCycles),
-                         uarch.idForRole(Role::StallTotal)},
-                        2, {});
-    invariant_factors = 0;
-    for (const auto &f : covered.graph().factors())
-        if (f.name.find("cycle_accounting") == 0)
-            ++invariant_factors;
-    EXPECT_EQ(invariant_factors, 2u); // one per slice
-}
-
-TEST(WindowModel, IncludeLatentModelsWholeCatalog)
-{
-    const auto uarch = sim::makeX86Skylake();
-    ModelConfig cfg;
-    cfg.includeLatent = true;
-    WindowModel model(uarch, {uarch.idForRole(Role::Cycles)}, 2, cfg);
-    EXPECT_EQ(model.graph().numVariables(), 2 * uarch.events().size());
+    // Cycles + active + stall_total covers cycle_accounting (and no
+    // other invariant): one factor per slice, with the catalog's
+    // terms.
+    const std::vector<EventId> events = {uarch.idForRole(Role::Cycles),
+                                         uarch.idForRole(Role::ActiveCycles),
+                                         uarch.idForRole(Role::StallTotal)};
+    WindowModel covered(uarch, events, 2, {});
+    const LinearFactors linear = linearFactors(covered);
+    ASSERT_EQ(linear.invariants.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t) {
+        const graph::Factor &inv = *linear.invariants[t];
+        ASSERT_EQ(inv.vars.size(), 3u);
+        for (std::size_t j = 0; j < 3; ++j)
+            EXPECT_EQ(inv.vars[j], covered.var(events[j], t));
+        EXPECT_EQ(inv.coeffs, (std::vector<double>{1.0, -1.0, -1.0}));
+    }
+    EXPECT_EQ(linear.walks.size(), 3u); // one walk per event
 }
 
 TEST(WindowModel, RatioWalkNeedsNormalizer)
 {
     const auto uarch = sim::makeX86Skylake();
-    const std::vector<EventId> events = {uarch.idForRole(Role::Loads)};
-    auto count_ratio = [](const WindowModel &m) {
-        std::size_t n = 0;
-        for (const auto &f : m.graph().factors())
-            if (f.name.rfind("ratio_walk:", 0) == 0)
-                ++n;
-        return n;
-    };
-    WindowModel without(uarch, events, 3, {});
-    EXPECT_EQ(count_ratio(without), 0u);
+    const EventId loads = uarch.idForRole(Role::Loads);
+    WindowModel without(uarch, {loads}, 3, {});
+    EXPECT_EQ(linearFactors(without).walks.size(), 2u); // raw walk only
+
+    // With the instruction counts, each slice step adds a ratio walk
+    // x_t / N_t - x_{t-1} / N_{t-1} beside the raw walk.
     const std::vector<double> norm = {1e6, 1.1e6, 0.9e6};
-    WindowModel with(uarch, events, 3, {}, nullptr, &norm);
-    EXPECT_EQ(count_ratio(with), 2u);
+    WindowModel with(uarch, {loads}, 3, {}, nullptr, &norm);
+    const auto walks = linearFactors(with).walks;
+    ASSERT_EQ(walks.size(), 4u);
+    std::size_t ratio = 0;
+    for (const graph::Factor *walk : walks) {
+        if (walk->coeffs == std::vector<double>{1.0, -1.0})
+            continue;
+        ++ratio;
+        const std::size_t t = sliceOf(with, walk->vars[0]);
+        ASSERT_GE(t, 1u);
+        EXPECT_EQ(walk->vars,
+                  (std::vector<graph::VarId>{with.var(loads, t),
+                                             with.var(loads, t - 1)}));
+        EXPECT_EQ(walk->coeffs,
+                  (std::vector<double>{1.0 / norm[t], -1.0 / norm[t - 1]}));
+    }
+    EXPECT_EQ(ratio, 2u);
 }
 
 struct EndToEnd

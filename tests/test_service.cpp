@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -458,6 +459,102 @@ TEST(MonitorService, EndToEndPosteriorsAreDeterministic)
                         << " slice " << t;
                 }
             }
+        }
+    }
+}
+
+/**
+ * Close reports of a daemon run with the session fed `clean_seed`'s
+ * run and, when `bad_tenant` is set, a second session whose stream
+ * carries four malformed records in the middle of slice 9.  Returns
+ * the clean session's report, then the bad tenant's.
+ */
+std::vector<SessionReport>
+runWithBadTenant(bool bad_tenant)
+{
+    constexpr std::size_t kSlices = 18;
+    MonitorServiceConfig cfg;
+    cfg.numWorkers = 2;
+    cfg.sessionDefaults.streaming.inference = testInference();
+    MonitorService daemon(uarch(), cfg);
+
+    const SessionId clean = daemon.open(monitoredSet());
+    const SessionId bad = bad_tenant ? daemon.open(monitoredSet()) : 0;
+    const auto monitored = daemon.monitoredEvents(clean);
+    const auto clean_run = measuredRun(monitored, kSlices, 710);
+    const auto bad_run = measuredRun(monitored, kSlices, 711);
+    const sim::EventId llc = uarch().idForRole(sim::Role::LlcMiss);
+
+    for (std::uint32_t t = 0; t < kSlices; ++t) {
+        daemon.ingestBatch(clean, sliceRecords(clean_run, t));
+        if (!bad_tenant)
+            continue;
+        auto records = sliceRecords(bad_run, t);
+        if (t == 9) {
+            sim::PerfRecord nan_value = rec(t, llc, std::nan(""));
+            sim::PerfRecord inf_value =
+                rec(t, llc, std::numeric_limits<double>::infinity());
+            sim::PerfRecord negative = rec(t, llc, -1e12);
+            sim::PerfRecord overrun = rec(t, llc, 1e6);
+            overrun.timeRunning = 2.0 * overrun.timeEnabled;
+            records.insert(records.begin() + records.size() / 2,
+                           {nan_value, inf_value, negative, overrun});
+        }
+        daemon.ingestBatch(bad, records);
+    }
+
+    std::vector<SessionReport> reports;
+    for (SessionId id : {clean, bad}) {
+        if (id == 0)
+            continue;
+        auto report = daemon.close(id);
+        EXPECT_TRUE(report.has_value());
+        reports.push_back(std::move(*report));
+    }
+    return reports;
+}
+
+TEST(MonitorService, MalformedRecordsAreRejectedPerSession)
+{
+    const auto alone = runWithBadTenant(false);
+    const auto shared = runWithBadTenant(true);
+    ASSERT_EQ(alone.size(), 1u);
+    ASSERT_EQ(shared.size(), 2u);
+
+    // The bad tenant: every malformed record is rejected and counted,
+    // and its posterior stays finite.
+    const SessionReport &bad = shared[1];
+    EXPECT_EQ(bad.stats.recordsRejected, 4u);
+    EXPECT_EQ(bad.stats.recordsDropped, 0u);
+    EXPECT_EQ(bad.stats.slicesAssembled, 18u);
+    for (const auto &row : bad.posterior.series)
+        for (const auto &point : row) {
+            EXPECT_TRUE(std::isfinite(point.mean));
+            EXPECT_TRUE(std::isfinite(point.stddev));
+        }
+
+    // The co-tenant's report is bit-identical to a run without it.
+    const SessionReport &a = alone[0];
+    const SessionReport &b = shared[0];
+    EXPECT_EQ(b.events, a.events);
+    EXPECT_EQ(b.stats.recordsIngested, a.stats.recordsIngested);
+    EXPECT_EQ(b.stats.recordsRejected, 0u);
+    EXPECT_EQ(a.stats.recordsRejected, 0u);
+    EXPECT_EQ(b.stats.slicesAssembled, a.stats.slicesAssembled);
+    EXPECT_EQ(b.stats.windowsRun, a.stats.windowsRun);
+    EXPECT_EQ(b.stats.epSweeps, a.stats.epSweeps);
+    EXPECT_EQ(b.posterior.firstSlice, a.posterior.firstSlice);
+    EXPECT_EQ(b.posterior.epMomentEvaluations,
+              a.posterior.epMomentEvaluations);
+    ASSERT_EQ(b.posterior.series.size(), a.posterior.series.size());
+    for (std::size_t i = 0; i < a.posterior.series.size(); ++i) {
+        ASSERT_EQ(b.posterior.series[i].size(),
+                  a.posterior.series[i].size());
+        for (std::size_t t = 0; t < a.posterior.series[i].size(); ++t) {
+            EXPECT_EQ(b.posterior.series[i][t].mean,
+                      a.posterior.series[i][t].mean);
+            EXPECT_EQ(b.posterior.series[i][t].stddev,
+                      a.posterior.series[i][t].stddev);
         }
     }
 }

@@ -1,9 +1,11 @@
 /** @file Edge-case tests for the per-session record-to-slice
  * reassembly (SliceAssembler): boundary records, duplicate and
- * missing group members, gaps, and the partial final slice. */
+ * missing group members, gaps, the partial final slice, and records
+ * that break the record contract. */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "service/slice_assembler.h"
@@ -176,6 +178,86 @@ TEST(SliceAssemblerEdge, DutyCycleMetadataTracksLastRead)
     EXPECT_DOUBLE_EQ(out[0][0].timeEnabled, 2.0);
     EXPECT_DOUBLE_EQ(out[0][0].timeRunning, 0.75);
     EXPECT_DOUBLE_EQ(out[0][0].rawCount, 10.0);
+}
+
+/**
+ * Feed `bad` before the first record, inside the open slice and for a
+ * later slice: each time it must be rejected without touching any
+ * assembly state (origin, reads, duty-cycle metadata, the open slice).
+ */
+void
+expectRejectedUntouched(sim::PerfRecord bad)
+{
+    SliceAssembler assembler({5}, /*align_to_first_record=*/true);
+    std::vector<core::SliceMeasurements> out;
+
+    bad.event = 5;
+    bad.slice = 7;
+    EXPECT_EQ(assembler.feed(bad, out), 0u);
+    assembler.feed(rec(2, 5, 10.0), out);
+    EXPECT_EQ(assembler.originSlice(), 2u); // not pinned at slice 7
+    assembler.feed(rec(2, 5, 14.0), out);
+    bad.slice = 2;
+    EXPECT_EQ(assembler.feed(bad, out), 0u);
+    bad.slice = 3;
+    EXPECT_EQ(assembler.feed(bad, out), 0u);
+    EXPECT_TRUE(out.empty()); // slice 2 still open
+
+    EXPECT_EQ(assembler.recordsRejected(), 3u);
+    EXPECT_EQ(assembler.recordsAccepted(), 2u);
+    EXPECT_EQ(assembler.flush(out), 1u);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0][0].windows, (std::vector<double>{10.0, 14.0}));
+    EXPECT_DOUBLE_EQ(out[0][0].rawCount, 24.0);
+    EXPECT_DOUBLE_EQ(out[0][0].timeEnabled, 1.0);
+    EXPECT_DOUBLE_EQ(out[0][0].timeRunning, 0.5);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(SliceAssemblerContract, RejectsNonFiniteValue)
+{
+    for (double v : {kNaN, kInf, -kInf})
+        expectRejectedUntouched(rec(0, 5, v));
+}
+
+TEST(SliceAssemblerContract, RejectsNonFiniteTimeEnabled)
+{
+    for (double enabled : {kNaN, kInf})
+        expectRejectedUntouched(rec(0, 5, 1.0, enabled, 0.5));
+}
+
+TEST(SliceAssemblerContract, RejectsNonFiniteTimeRunning)
+{
+    for (double running : {kNaN, kInf, -kInf})
+        expectRejectedUntouched(rec(0, 5, 1.0, 1.0, running));
+}
+
+TEST(SliceAssemblerContract, RejectsNegativeValue)
+{
+    for (double v : {-1e12, -1.0})
+        expectRejectedUntouched(rec(0, 5, v));
+}
+
+TEST(SliceAssemblerContract, RejectsNegativeTimeRunning)
+{
+    expectRejectedUntouched(rec(0, 5, 1.0, 1.0, -0.25));
+}
+
+TEST(SliceAssemblerContract, RejectsRunningBeyondEnabled)
+{
+    expectRejectedUntouched(rec(0, 5, 1.0, 1.0, 1.5));
+    expectRejectedUntouched(rec(0, 5, 1.0, 0.0, 0.5));
+
+    // The bounds themselves are inside the contract: a zero count, a
+    // counter that never ran, and one that ran the whole time.
+    SliceAssembler assembler({5});
+    std::vector<core::SliceMeasurements> out;
+    assembler.feed(rec(0, 5, 0.0, 1.0, 0.0), out);
+    assembler.feed(rec(0, 5, 0.0, 1.0, 1.0), out);
+    EXPECT_EQ(assembler.recordsRejected(), 0u);
+    EXPECT_EQ(assembler.recordsAccepted(), 2u);
 }
 
 } // namespace
