@@ -121,6 +121,9 @@ struct ReadBenchResult
     std::size_t reads = 0;
     std::uint64_t retriedReads = 0;
     std::uint64_t tornReads = 0;
+    /** Reads that called the writer dead.  Every writer in this bench
+     * is alive, so CI asserts zero against the hammering writer. */
+    std::uint64_t writerDeadReads = 0;
     /** Checksum mismatches under a stable even sequence.  Nothing in
      * this bench corrupts memory, so any nonzero count is a protocol
      * bug — asserted zero via the exit code. */
@@ -149,6 +152,10 @@ timeReads(const shim::SnapshotReader &reader, std::size_t reads,
         const std::uint64_t t1 = nowNanos();
         if (status == shim::ReadStatus::Corrupt) {
             ++result.corruptReads;
+            continue;
+        }
+        if (status == shim::ReadStatus::WriterDead) {
+            ++result.writerDeadReads;
             continue;
         }
         if (status != shim::ReadStatus::Ok) {
@@ -458,6 +465,7 @@ main()
                    uncontended.reads);
     json.field("retriedReads", uncontended.retriedReads)
         .field("tornReads", uncontended.tornReads)
+        .field("writerDeadReads", uncontended.writerDeadReads)
         .endObject();
 
     json.beginObject("bySession")
@@ -478,6 +486,7 @@ main()
                    hammered.reads);
     json.field("retriedReads", hammered.retriedReads)
         .field("tornReads", hammered.tornReads)
+        .field("writerDeadReads", hammered.writerDeadReads)
         .endObject();
 
     // The v2 integrity tax: identical read loops with verification

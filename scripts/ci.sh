@@ -201,6 +201,11 @@ direct = doc['uncontended']['readLatency']['p50Ns']
 assert by_session < 3 * direct, (by_session, direct)
 print(f"by-session read p50 {by_session:.0f} ns vs direct "
       f"{direct:.0f} ns: OK")
+# The hammering writer is alive: reads may run out of retries (Torn)
+# but must never call it dead.
+dead = doc['hammered']['writerDeadReads']
+assert dead == 0, doc['hammered']
+print(f"hammered: {doc['hammered']['tornReads']} torn, 0 writer-dead: OK")
 EOF
 
     # Telemetry overhead.

@@ -84,13 +84,6 @@ ShimCounterFeed::ShimCounterFeed(shim::SnapshotReader reader,
     : reader_(std::move(reader)), config_(std::move(config)),
       rng_(config_.seed)
 {
-    bp_assert(config_.stalenessHorizonSeconds > 0.0,
-              "staleness horizon must be positive");
-    bp_assert(config_.maxStaleness >= 0.0 && config_.maxStaleness < 1.0,
-              "staleness cap must be in [0, 1)");
-    bp_assert(config_.minErrorPct >= 0.0 &&
-                  config_.maxErrorPct >= config_.minErrorPct,
-              "bad error clamp");
 }
 
 ShimFeedAttach
@@ -127,8 +120,7 @@ ShimCounterFeed::pollQuality()
 
     for (std::uint64_t session : watched) {
         shim::PosteriorSnapshot snap;
-        const shim::ReadStatus status =
-            reader_.read(session, snap, config_.maxRetries);
+        const shim::ReadStatus status = reader_.read(session, snap);
         switch (status) {
           case shim::ReadStatus::Ok: break;
           case shim::ReadStatus::NotFound: ++stats_.notFoundPolls; continue;

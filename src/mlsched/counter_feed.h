@@ -96,7 +96,7 @@ struct FeedStats
     std::uint64_t okPolls = 0;         ///< Fresh consistent snapshots.
     std::uint64_t notFoundPolls = 0;   ///< Watched session had no slot.
     std::uint64_t tornPolls = 0;       ///< Retry budget exhausted live.
-    std::uint64_t writerDeadPolls = 0; ///< Frozen-odd slots (dead daemon).
+    std::uint64_t writerDeadPolls = 0; ///< Odd slots, silent writer.
     std::uint64_t corruptPolls = 0;    ///< Checksum-failed snapshots.
     std::uint64_t stalePolls = 0;      ///< Ok but older than the ceiling.
 
@@ -182,9 +182,6 @@ struct ShimFeedConfig
      */
     std::vector<std::uint64_t> watchedSessions;
 
-    /** Seqlock retry budget per poll. */
-    std::size_t maxRetries = shim::SnapshotReader::kDefaultMaxRetries;
-
     /**
      * Observations a failed poll keeps serving the last-good quality
      * before the feed falls back to `fallback`.  This is the typed
@@ -198,18 +195,18 @@ struct ShimFeedConfig
 
     /** Ok snapshots older than this degrade instead of refreshing
      * last-good (the staleness verdict). */
-    double maxSnapshotAgeSeconds = 5.0;
+    static constexpr double maxSnapshotAgeSeconds = 5.0;
 
     /** Snapshot age mapped to observation staleness:
      * min(age / horizon, maxStaleness). */
-    double stalenessHorizonSeconds = 0.25;
-    double maxStaleness = 0.9;
+    static constexpr double stalenessHorizonSeconds = 0.25;
+    static constexpr double maxStaleness = 0.9;
 
     /** Clamp on the posterior-derived relative error (%): the floor
      * keeps a perfectly confident posterior from claiming noise-free
      * counters; the ceiling bounds pathological uncertainty. */
-    double minErrorPct = 2.0;
-    double maxErrorPct = 60.0;
+    static constexpr double minErrorPct = 2.0;
+    static constexpr double maxErrorPct = 60.0;
 
     /** Seed of the feed's corruption stream (the noise draws are the
      * feed's, not the daemon's — only the *quality* is live). */

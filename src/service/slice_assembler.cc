@@ -27,16 +27,20 @@ recordsRejectedCounter()
     return c;
 }
 
+/** A PMI read is a 64-bit counter delta: 2^64 bounds every value. */
+constexpr double kMaxRecordValue = 0x1p64;
+
 /**
- * The record contract: a finite, non-negative value and finite time
- * fields with 0 <= timeRunning <= timeEnabled.  A record that breaks
- * it would reach the window model as a NaN, infinite or negative
- * count.
+ * The record contract: a value in [0, 2^64] and finite time fields
+ * with 0 <= timeRunning <= timeEnabled.  A record that breaks it
+ * would reach the window model as a NaN, infinite, negative or
+ * overflowing count.  (The range test on the value also rejects NaN
+ * and infinities.)
  */
 bool
 wellFormed(const sim::PerfRecord &rec)
 {
-    return std::isfinite(rec.value) && rec.value >= 0.0 &&
+    return rec.value >= 0.0 && rec.value <= kMaxRecordValue &&
            std::isfinite(rec.timeEnabled) &&
            std::isfinite(rec.timeRunning) && rec.timeRunning >= 0.0 &&
            rec.timeRunning <= rec.timeEnabled;

@@ -52,10 +52,11 @@ class SliceAssembler
      * number of slices appended.
      *
      * Records for unknown events, for slices older than the current
-     * assembly front, or that break the record contract (a
-     * non-finite or negative value; non-finite time fields; a
-     * negative timeRunning or one above timeEnabled) are counted as
-     * rejected and dropped before they touch any assembly state.
+     * assembly front, or that break the record contract (a value
+     * that is NaN, negative or above 2^64, the bound of a 64-bit
+     * counter read; non-finite time fields; a negative timeRunning or
+     * one above timeEnabled) are counted as rejected and dropped
+     * before they touch any assembly state.
      */
     std::size_t feed(const sim::PerfRecord &rec,
                      std::vector<core::SliceMeasurements> &out);

@@ -8,7 +8,7 @@ namespace service {
 StreamingInference::StreamingInference(const sim::MicroarchDescriptor &uarch,
                                        std::vector<sim::EventId> events,
                                        StreamingConfig config)
-    : assembler_(events, config.alignToFirstRecord),
+    : assembler_(events, /*align_to_first_record=*/true),
       engine_(uarch, std::move(events), config.inference,
               config.schedulePeriod)
 {

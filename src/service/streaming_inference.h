@@ -35,18 +35,16 @@ struct StreamingConfig
      * InferenceConfig::windowSlices).
      */
     std::size_t schedulePeriod = 0;
-
-    /**
-     * Start the stream at the first record's slice instead of slice 0
-     * (see SliceAssembler).  A session opened mid-run then begins at
-     * its attach time — no retroactive unobserved slices; originSlice()
-     * maps engine slices back to the producer's absolute slice clock.
-     */
-    bool alignToFirstRecord = true;
 };
 
 /**
  * Streaming windowed inference over a PerfRecord stream.
+ *
+ * The stream starts at the first record's slice, not at slice 0 (the
+ * assembler is built with align_to_first_record): a session opened
+ * mid-run begins at its attach time, with no retroactive unobserved
+ * slices, and originSlice() maps engine slices back to the
+ * producer's absolute slice clock.
  *
  * Not thread-safe: the service hands each instance to at most one
  * worker at a time.
@@ -85,8 +83,8 @@ class StreamingInference
         engine_.takeWindows(out);
     }
 
-    /** Producer slice of engine slice 0 (see
-     * StreamingConfig::alignToFirstRecord). */
+    /** Producer slice of engine slice 0: the first accepted
+     * record's slice. */
     std::size_t originSlice() const { return assembler_.originSlice(); }
 
     /** When the last consume()d record had been fed to the slice

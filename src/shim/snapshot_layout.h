@@ -151,9 +151,9 @@ struct RegionHeader
     Word publishes;     ///< Total publishes across all slots (live).
 
     /** Writer liveness: steady-clock stamp of the writer's latest
-     * publish or explicit heartbeat() — readers subtract their own
-     * clock to tell a dead daemon from an idle one without waiting on
-     * any single slot. */
+     * publish open or explicit heartbeat() — readers subtract their
+     * own clock to tell a dead daemon from an idle one, and a slot
+     * left odd is WriterDead only once this word has gone silent. */
     Word heartbeatNanos;
 
     /** chainChecksum over {layoutVersion, slotCount, maxEvents,

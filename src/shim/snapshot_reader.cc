@@ -270,8 +270,8 @@ SnapshotReader::checkQuarantine(std::size_t slot,
     }
     state_->quarantineSkips.fetch_add(1, std::memory_order_relaxed);
     // The verdict is recoverable from the condemned sequence's
-    // parity: a slot is quarantined frozen-odd (writer died
-    // mid-publish) or stable-even-with-bad-checksum (corrupt).
+    // parity: a slot is quarantined odd (writer died mid-publish) or
+    // stable-even-with-bad-checksum (corrupt).
     return (qseq & 1) ? ReadStatus::WriterDead : ReadStatus::Corrupt;
 }
 
@@ -326,41 +326,6 @@ SnapshotReader::stats() const
 namespace {
 
 /**
- * Frozen-odd bookkeeping of readSlotImpl's retry loop.  Tracks the
- * *latest* odd value seen and how many consecutive attempts re-saw it
- * — any odd value, first observed at any attempt.  (The PR 7 code
- * only armed on the odd value of attempt 0, so a writer that died on
- * an odd value first seen later — or that advanced to a new odd value
- * and then died — was reported Torn forever, recreating the
- * spin-forever loop WriterDead exists to break.)
- */
-struct OddStreak
-{
-    std::uint64_t value = 0;
-    std::size_t length = 0;
-
-    void sawOdd(std::uint64_t seq)
-    {
-        if (length != 0 && seq == value) {
-            ++length;
-        } else {
-            value = seq;
-            length = 1;
-        }
-    }
-    void sawEven() { length = 0; }
-
-    /** Dead if the same odd value held for the majority of the retry
-     * budget with no movement since: a live seqlock writer closes a
-     * publish within a handful of reader iterations, so a majority-
-     * of-budget freeze is a writer that will never finish. */
-    bool dead(std::size_t max_retries) const
-    {
-        return length >= max_retries / 2 + 1;
-    }
-};
-
-/**
  * The calling thread's decode target.  An Ok decode is swapped into
  * the caller's snapshot, so the scratch takes over the caller's old
  * buffers: a caller that reuses its `out` ping-pongs two counters
@@ -390,16 +355,13 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
             return *cached;
     }
 
-    OddStreak odd;
+    std::uint64_t s1 = 0;
     for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
         if (retryProbe_)
             retryProbe_(attempt);
-        const std::uint64_t s1 = s->seq.load(std::memory_order_acquire);
-        if (s1 & 1) {
-            odd.sawOdd(s1);
+        s1 = s->seq.load(std::memory_order_acquire);
+        if (s1 & 1)
             continue; // write in flight
-        }
-        odd.sawEven();
         if (s1 == 0)
             return ReadStatus::NotFound; // never published
 
@@ -504,8 +466,13 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
             now > snap.publishNanos ? now - snap.publishNanos : 0;
         return ReadStatus::Ok;
     }
-    if (odd.dead(max_retries)) {
-        quarantine(slot, odd.value);
+    // Out of retries.  A slot still odd holds a publish in flight,
+    // and the acquire load that saw it odd also sees the heartbeat
+    // that publish stamped when it opened: only a writer silent since
+    // then is dead.  Anything else is a live writer, however long it
+    // was descheduled mid-publish.
+    if ((s1 & 1) && writerIdleNanos() > kWriterSilentNanos) {
+        quarantine(slot, s1);
         return ReadStatus::WriterDead;
     }
     return ReadStatus::Torn;
@@ -570,8 +537,8 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     }
     // A degraded slot could have been the session's; report the
     // strongest signal so the consumer reacts correctly — WriterDead
-    // over Corrupt (a dead writer never resolves; corruption can be
-    // overwritten by the next publish), Corrupt over Torn (the
+    // over Corrupt (a dead writer publishes nothing more; corruption
+    // can be overwritten by the next publish), Corrupt over Torn (the
     // payload is provably bad, not merely contended), Torn over
     // NotFound (the consumer should retry instead of concluding the
     // session is gone).

@@ -50,8 +50,8 @@ mapSegment(const std::string &shm_name, std::size_t bytes,
     // wins), while readers still mapped to the old inode keep their
     // old, frozen table.  (If the old writer died *mid-publish*, the
     // interrupted slot's sequence stays odd forever and reads of it
-    // report Torn — detected, never served as data; the other slots
-    // stay readable.)
+    // report WriterDead once its heartbeat has gone silent — detected,
+    // never served as data; the other slots stay readable.)
     // Bounded unlink-and-retry: a concurrent creator can slip its
     // own segment in between our unlink and create, so one retry is
     // not enough for the advertised last-writer-wins semantics.
@@ -204,21 +204,26 @@ SnapshotRegion::write(std::size_t slot, std::uint64_t session_id,
     const std::uint64_t publish_no =
         writeCalls_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-    // Seqlock write: odd sequence -> payload + checksum -> even
-    // sequence.  The release fence keeps the payload stores after the
-    // odd store; the final release store keeps them before the even
-    // store.  The checksum is folded over the exact word values
-    // stored, inside the critical section, so any bit that flips
-    // after the even store no longer matches it.
+    // Seqlock write: heartbeat -> odd sequence -> payload + checksum
+    // -> even sequence.  The heartbeat is stamped when the publish
+    // opens, and the odd store releases it, so a reader that sees the
+    // slot odd sees a heartbeat no older than this publish: an odd
+    // slot under a silent heartbeat is a dead writer, never a live
+    // one that was idle before it opened.  The release fence keeps
+    // the payload stores after the odd store; the final release store
+    // keeps them before the even store.  The checksum is folded over
+    // the exact word values stored, inside the critical section, so
+    // any bit that flips after the even store no longer matches it.
     //
     // The in-flight marker must be odd even when the previous publish
     // was abandoned mid-flight and left the sequence odd (a fault-
     // injected writer, or a future writer resuming a slot): blindly
     // storing s0 + 1 there would invert the parity protocol and
     // publish this window under an odd "closing" sequence.
+    heartbeat(publish_nanos);
     const std::uint64_t s0 = s->seq.load(std::memory_order_relaxed);
     const std::uint64_t s_open = s0 + 1 + (s0 & 1);
-    s->seq.store(s_open, std::memory_order_relaxed);
+    s->seq.store(s_open, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
 
     const std::uint64_t fixed[kSlotFixedPayloadWords] = {
@@ -274,10 +279,8 @@ SnapshotRegion::write(std::size_t slot, std::uint64_t session_id,
     }
 
     s->seq.store(s_open + 1, std::memory_order_release);
-    auto *header = reinterpret_cast<RegionHeader *>(base_);
-    header->publishes.fetch_add(1, std::memory_order_relaxed);
-    header->heartbeatNanos.store(publish_nanos,
-                                 std::memory_order_relaxed);
+    reinterpret_cast<RegionHeader *>(base_)->publishes.fetch_add(
+        1, std::memory_order_relaxed);
 
     if (faults_.armed && faults_.flipAtPublish == publish_no) {
         // An SEU between two publishes: flip bit(s) of one slot word
@@ -296,9 +299,10 @@ SnapshotRegion::invalidate(std::size_t slot)
                                         << slot << " of "
                                         << config_.slots);
     SlotHeader *s = slotAt(base_, layout_, slot);
+    heartbeat(steadyNowNanos()); // stamped at open, see write()
     const std::uint64_t s0 = s->seq.load(std::memory_order_relaxed);
     const std::uint64_t s_open = s0 + 1 + (s0 & 1); // odd, see write()
-    s->seq.store(s_open, std::memory_order_relaxed);
+    s->seq.store(s_open, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
     // Zero the whole fixed payload (not just active/sessionId) so the
     // checksum covers one well-defined state: an invalidated slot is

@@ -113,7 +113,9 @@ class SnapshotRegion
     /**
      * Stamp the header's writer-liveness word (readers compare it
      * against their own steady clock to tell a dead daemon from an
-     * idle one).  write() stamps it on every publish; call this
+     * idle one).  write() stamps it with the publish stamp when a
+     * publish opens, and invalidate() with the clock, so a slot left
+     * odd never carries an older stamp than its own write; call this
      * directly from an idle writer's keepalive loop.
      */
     void heartbeat(std::uint64_t now_nanos);

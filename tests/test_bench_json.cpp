@@ -179,7 +179,8 @@ TEST(JsonWriter, AccelServiceBenchSchemaIsValid)
  * `checksum` section carries the verify-off read latencies, the
  * relative verification overhead, and the corruptReads protocol
  * assertion — zero in any healthy run; `bySession` times reads by
- * session id in pipebench live_tenants' table geometry). */
+ * session id in pipebench live_tenants' table geometry; the read
+ * sections count Torn and WriterDead verdicts apart). */
 TEST(JsonWriter, ShimReadBenchSchemaIsValid)
 {
     bench::JsonWriter json;
@@ -209,6 +210,7 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
         ns_summary("staleness");
         json.field("retriedReads", 12)
             .field("tornReads", 3)
+            .field("writerDeadReads", 0)
             .endObject();
     }
     json.beginObject("bySession").field("slots", 64).field("sessions", 16);
@@ -239,7 +241,8 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
          {"uncontended", "hammered", "checksum", "uncontendedNoVerify",
           "hammeredNoVerify", "verifyOverheadPctP50",
           "verifyOverheadPctP99", "corruptReads", "readLatency",
-          "staleness", "bySession", "slots", "sessions",
+          "staleness", "tornReads", "writerDeadReads", "bySession",
+          "slots", "sessions",
           "p50VsUncontended", "publishNs", "posteriorsBitIdentical"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)

@@ -236,14 +236,16 @@ TEST(ShimFeed, DegradesToLastGoodThenFallbackOnWriterDeath)
     ASSERT_EQ(live.served, FeedServed::Live);
 
     // The writer "dies" mid-publish: the next write leaves the slot's
-    // sequence odd forever, exactly what a crashed daemon leaves.
+    // sequence odd forever, exactly what a crashed daemon leaves.  Its
+    // stamp, which the heartbeat takes when the publish opens, is
+    // from long ago, so the writer has been silent since.
     shim::WriterFaultInjection faults;
     faults.armed = true;
     faults.skipFinalEvenStoreAtPublish = 2;
     region.setFaultInjection(faults);
     region.write(0, 42, 2, 12, sampleExecution(), events,
                  {core::PosteriorPoint{101.0, 5.0}},
-                 shim::steadyNowNanos());
+                 /*publish_nanos=*/1);
 
     // Two observations ride on the last-good quality...
     for (int i = 0; i < 2; ++i) {
@@ -430,13 +432,15 @@ TEST(ShimFeedCrossProcess, ChildWriterFeedsParentThenDiesMidPublish)
                      shim::steadyNowNanos());
         if (!sendByte(c2p[1], 'a') || !recvByte(p2c[0], 'g'))
             ::_exit(4);
-        // Freeze the slot odd — the mid-publish state a crash leaves.
+        // Freeze the slot odd — the mid-publish state a crash leaves —
+        // under a publish stamp from long ago, so the wedged writer's
+        // heartbeat is silent.
         shim::WriterFaultInjection faults;
         faults.armed = true;
         faults.skipFinalEvenStoreAtPublish = 2;
         region.setFaultInjection(faults);
         region.write(0, 9, 2, 12, sampleExecution(), {3}, posterior,
-                     shim::steadyNowNanos());
+                     /*publish_nanos=*/1);
         if (!sendByte(c2p[1], 'b'))
             ::_exit(4);
         for (;;) // parent SIGKILLs us; never run the destructor

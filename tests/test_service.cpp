@@ -466,7 +466,7 @@ TEST(MonitorService, EndToEndPosteriorsAreDeterministic)
 /**
  * Close reports of a daemon run with the session fed `clean_seed`'s
  * run and, when `bad_tenant` is set, a second session whose stream
- * carries four malformed records in the middle of slice 9.  Returns
+ * carries six malformed records in the middle of slice 9.  Returns
  * the clean session's report, then the bad tenant's.
  */
 std::vector<SessionReport>
@@ -497,8 +497,12 @@ runWithBadTenant(bool bad_tenant)
             sim::PerfRecord negative = rec(t, llc, -1e12);
             sim::PerfRecord overrun = rec(t, llc, 1e6);
             overrun.timeRunning = 2.0 * overrun.timeEnabled;
+            // Finite, but far beyond any 64-bit counter read.
+            sim::PerfRecord huge = rec(t, llc, 1e300);
+            sim::PerfRecord near_max = rec(t, llc, 1.7e308);
             records.insert(records.begin() + records.size() / 2,
-                           {nan_value, inf_value, negative, overrun});
+                           {nan_value, inf_value, negative, overrun, huge,
+                            near_max});
         }
         daemon.ingestBatch(bad, records);
     }
@@ -524,7 +528,7 @@ TEST(MonitorService, MalformedRecordsAreRejectedPerSession)
     // The bad tenant: every malformed record is rejected and counted,
     // and its posterior stays finite.
     const SessionReport &bad = shared[1];
-    EXPECT_EQ(bad.stats.recordsRejected, 4u);
+    EXPECT_EQ(bad.stats.recordsRejected, 6u);
     EXPECT_EQ(bad.stats.recordsDropped, 0u);
     EXPECT_EQ(bad.stats.slicesAssembled, 18u);
     for (const auto &row : bad.posterior.series)

@@ -1,6 +1,8 @@
 /** @file Tests for the shared-memory posterior snapshot shim:
  * seqlock write/read round trips (bit-identical doubles), torn-write
- * retry under a hammering writer, readers attaching before the first
+ * retry under a hammering writer, writer-death verdicts judged from
+ * the heartbeat (a stalled live writer reads Torn, a silent one
+ * WriterDead), readers attaching before the first
  * publish, slot invalidation on session close, the reader's
  * session -> slot hint (moved and colliding sessions, two threads on
  * one reader), failed reads leaving `out` untouched, zero allocations
@@ -260,8 +262,10 @@ TEST(SnapshotReader, FrozenOddSequenceReportsWriterDead)
 {
     SnapshotRegion region(SnapshotRegionConfig{2, 4});
     // Forge a stalled publish: bump the slot sequence to odd and
-    // leave it there, exactly the state a writer dying mid-burst
-    // leaves behind.
+    // leave it there under a heartbeat stamped long ago, exactly the
+    // state a writer dying mid-burst leaves behind once its heartbeat
+    // has gone silent.
+    region.heartbeat(1);
     auto *slot = slotAt(const_cast<std::byte *>(region.base()),
                         region.layout(), 1);
     slot->sessionId.store(9, std::memory_order_relaxed);
@@ -287,6 +291,7 @@ TEST(SnapshotReader, OddSequenceFirstSeenMidScanStillReportsWriterDead)
     // odd value mid-scan and then froze was reported Torn forever —
     // recreating the spin-forever loop WriterDead exists to break.
     SnapshotRegion region(SnapshotRegionConfig{2, 4});
+    region.heartbeat(1); // the writer has been silent for ages
     auto *slot = slotAt(const_cast<std::byte *>(region.base()),
                         region.layout(), 1);
     slot->sessionId.store(9, std::memory_order_relaxed);
@@ -296,8 +301,8 @@ TEST(SnapshotReader, OddSequenceFirstSeenMidScanStillReportsWriterDead)
     SnapshotReader reader(region);
     // Deterministic mid-scan death: attempt 0 sees the slot odd on 1
     // (arming the old detector on that value), then the writer
-    // "advances" to odd 3 before attempt 1 and dies there.  Every
-    // remaining attempt re-sees 3 — a majority-of-budget freeze.
+    // "advances" to odd 3 before attempt 1 and dies there.  The slot
+    // is still odd on 3 when the budget runs out.
     reader.setRetryProbe([&](std::size_t attempt) {
         if (attempt == 1)
             slot->seq.store(3, std::memory_order_release);
@@ -313,6 +318,109 @@ TEST(SnapshotReader, OddSequenceFirstSeenMidScanStillReportsWriterDead)
     EXPECT_EQ(stats.deadReads, 2u);
     EXPECT_GE(stats.quarantineSkips, 1u);
     EXPECT_EQ(stats.quarantinedSlots, 1u);
+}
+
+TEST(SnapshotReader, StalledPublishUnderFreshHeartbeatReadsTorn)
+{
+    // A live writer descheduled mid-publish: the slot stays odd past
+    // any retry budget, but the publish stamped the heartbeat when it
+    // opened.  That reads Torn at the default budget and at 2^22
+    // spins, is never quarantined, and the slot reads Ok again once
+    // the writer closes a publish.
+    SnapshotRegion region(SnapshotRegionConfig{2, 4});
+    WriterFaultInjection faults;
+    faults.skipFinalEvenStoreAtPublish = 2;
+    region.setFaultInjection(faults);
+    const std::vector<sim::EventId> events = {1, 2};
+    const std::vector<core::PosteriorPoint> posterior = {{10.0, 1.0},
+                                                         {20.0, 2.0}};
+    region.write(0, 5, 0, 3, sampleExecution(), events, posterior,
+                 steadyNowNanos());
+    region.write(0, 5, 1, 4, sampleExecution(), events, posterior,
+                 steadyNowNanos()); // left open
+
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    EXPECT_EQ(reader.readSlot(0, snap), ReadStatus::Torn);
+    EXPECT_EQ(reader.read(5, snap), ReadStatus::Torn);
+    EXPECT_EQ(reader.readSlot(0, snap, std::size_t{1} << 22),
+              ReadStatus::Torn);
+    EXPECT_EQ(reader.read(5, snap, std::size_t{1} << 22),
+              ReadStatus::Torn);
+    const ReaderStats stats = reader.stats();
+    EXPECT_EQ(stats.tornReads, 4u);
+    EXPECT_EQ(stats.deadReads, 0u);
+    EXPECT_EQ(stats.quarantinedSlots, 0u);
+    EXPECT_EQ(stats.quarantineSkips, 0u);
+
+    region.write(0, 5, 2, 5, sampleExecution(), events, posterior,
+                 steadyNowNanos());
+    ASSERT_EQ(reader.read(5, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.windowIndex, 2u);
+    EXPECT_EQ(reader.stats().okReads, 1u);
+}
+
+TEST(SnapshotReader, PublishOpenedAfterLongSilenceReadsTorn)
+{
+    // A writer silent for longer than the bound opens a publish and
+    // stalls in it.  The heartbeat it had before was stale, but the
+    // publish stamped it when it opened, so the writer is live: Torn.
+    SnapshotRegion region(SnapshotRegionConfig{2, 4});
+    WriterFaultInjection faults;
+    faults.skipFinalEvenStoreAtPublish = 2;
+    region.setFaultInjection(faults);
+    const std::vector<sim::EventId> events = {1, 2};
+    const std::vector<core::PosteriorPoint> posterior = {{10.0, 1.0},
+                                                         {20.0, 2.0}};
+    region.write(0, 5, 0, 3, sampleExecution(), events, posterior,
+                 /*publish_nanos=*/1); // long ago
+    SnapshotReader reader(region);
+    EXPECT_GT(reader.writerIdleNanos(), SnapshotReader::kWriterSilentNanos);
+
+    region.write(0, 5, 1, 4, sampleExecution(), events, posterior,
+                 steadyNowNanos()); // opened now, left open
+    EXPECT_LT(reader.writerIdleNanos(), SnapshotReader::kWriterSilentNanos);
+    PosteriorSnapshot snap;
+    EXPECT_EQ(reader.readSlot(0, snap), ReadStatus::Torn);
+    EXPECT_EQ(reader.read(5, snap), ReadStatus::Torn);
+    EXPECT_EQ(reader.stats().deadReads, 0u);
+    EXPECT_EQ(reader.stats().quarantinedSlots, 0u);
+}
+
+TEST(SnapshotReader, LiveWriterIsNeverReportedDead)
+{
+    // A writer republishing one 13-event slot back to back, stamping
+    // the real clock.  Default-budget reads often run out on a
+    // publish in flight (Torn), but none may call the writer dead.
+    constexpr std::size_t kEvents = 13;
+    SnapshotRegion region(SnapshotRegionConfig{1, kEvents});
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        const std::vector<sim::EventId> events(kEvents);
+        const std::vector<core::PosteriorPoint> posterior(kEvents,
+                                                          {1e6, 42.0});
+        for (std::uint64_t w = 0; !stop.load(std::memory_order_relaxed);
+             ++w)
+            region.write(0, /*session_id=*/1, w, w, sampleExecution(),
+                         events, posterior, steadyNowNanos());
+    });
+
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    std::uint64_t reads = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (std::chrono::steady_clock::now() < deadline) {
+        (void)reader.readSlot(0, snap);
+        ++reads;
+    }
+    stop.store(true);
+    writer.join();
+    const ReaderStats stats = reader.stats();
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(stats.deadReads, 0u);
+    EXPECT_EQ(stats.quarantinedSlots, 0u);
+    EXPECT_EQ(stats.corruptReads, 0u);
 }
 
 TEST(SnapshotReader, FlippedPayloadWordReadsCorruptNeverOk)
@@ -365,8 +473,9 @@ TEST(SnapshotReader, SessionsReportsScanHealth)
     region.write(0, 5, 0, 3, sampleExecution(), events, posterior, 1);
     region.write(2, 6, 0, 3, sampleExecution(), events, posterior, 1);
 
-    // Slot 1: frozen odd (writer died mid-publish).  Slot 2: flipped
-    // payload word.  Slot 3: never published.
+    // Slot 1: frozen odd (writer died mid-publish; the publishes above
+    // stamped the heartbeat at 1, long ago).  Slot 2: flipped payload
+    // word.  Slot 3: never published.
     auto *dead = slotAt(const_cast<std::byte *>(region.base()),
                         region.layout(), 1);
     dead->seq.store(1, std::memory_order_release);
@@ -554,8 +663,10 @@ TEST(SnapshotReader, FailedReadsLeaveOutBitIdentical)
     expectUntouched(reader.read(1, out), ReadStatus::NotFound,
                     "hinted slot handed to another session");
 
-    // Torn: the sequence is odd and moves on every attempt.
+    // Torn: the sequence is odd and moves on every attempt, under a
+    // fresh heartbeat.
     publishTagged(region, 0, /*session=*/1, /*window=*/2);
+    region.heartbeat(steadyNowNanos());
     ASSERT_EQ(reader.read(1, out), ReadStatus::Ok);
     out = sentinelSnapshot();
     auto *torn = slotAt(const_cast<std::byte *>(region.base()),
@@ -581,7 +692,9 @@ TEST(SnapshotReader, FailedReadsLeaveOutBitIdentical)
     expectUntouched(reader.readSlot(3, out), ReadStatus::Corrupt,
                     "corrupt by slot");
 
-    // WriterDead: session 3's slot froze odd mid-publish.
+    // WriterDead: session 3's slot froze odd mid-publish, and the
+    // heartbeat went silent.
+    region.heartbeat(1);
     auto *dead = slotAt(const_cast<std::byte *>(region.base()),
                         region.layout(), 2);
     dead->seq.fetch_add(1, std::memory_order_release);

@@ -150,7 +150,8 @@ TEST(ShimChaos, ForkedWriterSigkilledMidPublish)
         const char byte = 'r';
         if (::write(pipe_fds[1], &byte, 1) != 1)
             ::_exit(4);
-        // Publish 2 SIGKILLs this process mid-publish; nothing below
+        // Publish 2 opens (stamping the heartbeat with its own tiny
+        // stamp) and SIGKILLs this process mid-publish; nothing below
         // the write() call runs (no destructor, no shm_unlink).
         publishSession(region, /*slot=*/1, /*session=*/2, /*window=*/0,
                        /*publish_nanos=*/6);
@@ -187,10 +188,11 @@ TEST(ShimChaos, ForkedWriterSigkilledMidPublish)
     EXPECT_EQ(stats.deadReads, 2u);
     EXPECT_EQ(stats.quarantinedSlots, 1u);
 
-    // Region-level liveness: the last heartbeat is publish 1's tiny
-    // stamp, so the writer looks idle for (essentially) the machine's
-    // whole uptime — exactly what a liveness watchdog keys on.
-    EXPECT_EQ(reader->writerHeartbeatNanos(), 5u);
+    // Region-level liveness: the last heartbeat is the tiny stamp of
+    // publish 2, which opened before the kill, so the writer looks
+    // idle for (essentially) the machine's whole uptime — exactly
+    // what a liveness watchdog, and the WriterDead verdict, key on.
+    EXPECT_EQ(reader->writerHeartbeatNanos(), 6u);
     EXPECT_GT(reader->writerIdleNanos(), 1000000000ull);
 
     // The dead child never unlinked; do it for the machine's sake.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -238,6 +240,24 @@ TEST(SliceAssemblerContract, RejectsNegativeValue)
 {
     for (double v : {-1e12, -1.0})
         expectRejectedUntouched(rec(0, 5, v));
+}
+
+TEST(SliceAssemblerContract, RejectsValueBeyondA64BitCounter)
+{
+    // A PMI read is a 64-bit counter delta, so no value exceeds 2^64.
+    // 1e300 and 1.7e308 used to abort the window model.
+    for (double v : {std::nextafter(0x1p64, kInf), 1e300, 1.7e308})
+        expectRejectedUntouched(rec(0, 5, v));
+
+    // The largest 64-bit count (it rounds to 2^64) is accepted.
+    SliceAssembler assembler({5});
+    std::vector<core::SliceMeasurements> out;
+    assembler.feed(
+        rec(0, 5,
+            static_cast<double>(std::numeric_limits<std::uint64_t>::max())),
+        out);
+    EXPECT_EQ(assembler.recordsRejected(), 0u);
+    EXPECT_EQ(assembler.recordsAccepted(), 1u);
 }
 
 TEST(SliceAssemblerContract, RejectsNegativeTimeRunning)
