@@ -10,7 +10,9 @@
  *   3. subscribe to one tenant's window completions (push updates),
  *   4. stream each tenant's PerfRecords from a producer thread,
  *      slice by slice, through the per-session SPSC ring,
- *   5. poll latest() while inference is still running,
+ *   5. poll the snapshot shim while inference is still running (an
+ *      in-process shim::SnapshotReader; without --shm the table
+ *      stays in-process),
  *   6. close the sessions and read full posterior series + stats.
  *
  * Usage: perf_daemon [host|capi|pcie] [engines]
@@ -127,6 +129,9 @@ main(int argc, char **argv)
     service::MonitorServiceConfig cfg;
     cfg.numWorkers = 4;
     cfg.sessionDefaults.streaming.inference.windowSlices = 6;
+    // The snapshot table is where step 5 polls posteriors; --shm
+    // only exports it to other processes.
+    cfg.snapshot.enabled = true;
 
     std::string backend_arg = "capi";
     std::size_t linger_ms = 0;
@@ -149,7 +154,6 @@ main(int argc, char **argv)
                              argv[0], argv[i]);
                 return 2;
             }
-            cfg.snapshot.enabled = true;
             cfg.snapshot.shmName = name;
             continue;
         }
@@ -338,7 +342,7 @@ main(int argc, char **argv)
     }
 
     // 3. Subscribe to the first tenant's window completions: the push
-    // counterpart of the latest() polling below.
+    // counterpart of the snapshot polling below.
     const sim::EventId llc = uarch.idForRole(sim::Role::LlcMiss);
     std::size_t llc_index = 0;
     for (std::size_t i = 0; i < monitored.size(); ++i) {
@@ -377,12 +381,20 @@ main(int argc, char **argv)
         });
     }
 
-    // 5. Poll one tenant's LLC-miss posterior while streaming.
+    // 5. Poll one tenant's LLC-miss posterior while streaming, with
+    // the same seqlock read a consumer process makes on the --shm
+    // segment.
+    const shim::SnapshotReader poller(*daemon.snapshotRegion());
+    shim::PosteriorSnapshot snap;
     for (int poll = 0; poll < 3; ++poll) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        if (const auto p = daemon.latest(ids[0], llc)) {
-            std::printf("[poll %d] %s LLC misses: %.0f +/- %.0f\n", poll,
-                        admitted_tenants[0].c_str(), p->mean, p->stddev);
+        if (poller.read(ids[0], snap) != shim::ReadStatus::Ok)
+            continue;
+        for (const shim::SnapshotCounter &c : snap.counters) {
+            if (c.event == llc)
+                std::printf("[poll %d] %s LLC misses: %.0f +/- %.0f\n",
+                            poll, admitted_tenants[0].c_str(),
+                            c.posterior.mean, c.posterior.stddev);
         }
     }
     for (auto &p : producers)
@@ -393,7 +405,7 @@ main(int argc, char **argv)
     // Make the monitor's own metrics visible at least once, even
     // without a scraper thread: a lingering shim_reader sees the
     // final numbers under pseudo-session 0.
-    if (cfg.snapshot.enabled)
+    if (!cfg.snapshot.shmName.empty())
         daemon.publishSelfMetrics();
 
     // Keep the snapshot table populated long enough for an external
@@ -404,7 +416,7 @@ main(int argc, char **argv)
     // growing silence of a dead daemon — even with no metrics thread
     // publishing.
     if (linger_ms > 0) {
-        if (cfg.snapshot.enabled)
+        if (!cfg.snapshot.shmName.empty())
             std::printf("lingering %zu ms with snapshot table \"%s\" "
                         "live...\n",
                         linger_ms, cfg.snapshot.shmName.c_str());
@@ -443,16 +455,12 @@ main(int argc, char **argv)
     // would, and report the scan's health verdict — any degraded slot
     // (torn/writer-dead/corrupt) in the daemon's own log is a segment
     // integrity problem worth noticing before a consumer does.
-    if (daemon.snapshotRegion() != nullptr) {
-        shim::SnapshotReader self_reader(*daemon.snapshotRegion());
-        shim::ScanHealth health;
-        const auto live = self_reader.sessions(&health);
-        std::printf("snapshot self-scan: %zu active slots, %zu empty, "
-                    "%zu degraded (torn %zu, writer-dead %zu, "
-                    "corrupt %zu)\n",
-                    live.size(), health.empty, health.degraded(),
-                    health.torn, health.writerDead, health.corrupt);
-    }
+    shim::ScanHealth health;
+    const auto live = poller.sessions(&health);
+    std::printf("snapshot self-scan: %zu active slots, %zu empty, "
+                "%zu degraded (torn %zu, writer-dead %zu, corrupt %zu)\n",
+                live.size(), health.empty, health.degraded(), health.torn,
+                health.writerDead, health.corrupt);
 
     // 6. Close everything; score posteriors against ground truth and
     // report the backend's modeled window latency next to the
@@ -495,23 +503,17 @@ main(int argc, char **argv)
     }
 
     const service::ServiceStats stats = daemon.stats();
-    if (snapshot_stats.enabled) {
-        std::printf("snapshot shim \"%s\": %llu windows published, "
-                    "%llu dropped, %zu/%zu slots live pre-close "
-                    "(+%llu tail publishes from close)\n",
-                    cfg.snapshot.shmName.empty()
-                        ? "(in-process)"
-                        : cfg.snapshot.shmName.c_str(),
-                    static_cast<unsigned long long>(
-                        snapshot_stats.publishes),
-                    static_cast<unsigned long long>(
-                        snapshot_stats.publishDrops),
-                    snapshot_stats.slotsLive,
-                    snapshot_stats.slotCapacity,
-                    static_cast<unsigned long long>(
-                        stats.snapshot.publishes -
-                        snapshot_stats.publishes));
-    }
+    std::printf("snapshot shim \"%s\": %llu windows published, "
+                "%llu dropped, %zu/%zu slots live pre-close "
+                "(+%llu tail publishes from close)\n",
+                cfg.snapshot.shmName.empty() ? "(in-process)"
+                                             : cfg.snapshot.shmName.c_str(),
+                static_cast<unsigned long long>(snapshot_stats.publishes),
+                static_cast<unsigned long long>(
+                    snapshot_stats.publishDrops),
+                snapshot_stats.slotsLive, snapshot_stats.slotCapacity,
+                static_cast<unsigned long long>(
+                    stats.snapshot.publishes - snapshot_stats.publishes));
     if (!stats.admission.empty()) {
         TablePrinter admission_table({"tenant", "sessions ok",
                                       "sessions rej", "records ok",

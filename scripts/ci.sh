@@ -6,6 +6,7 @@
 #                            bad-argv checks, shim/consumer/trace smokes,
 #                            bench smokes with their JSON asserts,
 #                            repository benchmark (pipebench) smoke
+#                            on live_tenants, pmi_flood, hibench_replay
 #   scripts/ci.sh simd-off   scalar-kernel build (-DBPERF_SIMD=OFF),
 #                            tests, scalar-dispatch assert
 #   scripts/ci.sh asan       ASan+UBSan build, tests, SIGKILL chaos smoke
@@ -245,13 +246,14 @@ EOF
 }
 
 # The repository benchmark, built from this checkout into
-# .bench_build/, for 2 s per workload with tracing on.  Its in-band
-# checks (streaming replay, shim/subscription parity and, traced, the
-# core probe's bit check against the engine) exit 1 on failure; the
-# result line must also report no failed operation.
+# .bench_build/, for 2 s per workload with tracing on (hibench_replay:
+# 29 sessions x 32 events, the largest histories and shim slots).  Its
+# in-band checks (streaming replay, shim/subscription parity and,
+# traced, the core probe's bit check against the engine) exit 1 on
+# failure; the result line must also report no failed operation.
 pipebench_smoke() {
     local workload result
-    for workload in live_tenants pmi_flood; do
+    for workload in live_tenants pmi_flood hibench_replay; do
         result=$(python3 pipebench/run.py --workload "$workload" \
             --seed 3 --seconds 2 --trace 1 | tail -n 1)
         python3 - "$workload" "$result" <<'EOF'

@@ -69,15 +69,22 @@ WindowedInference::WindowedInference(const sim::MicroarchDescriptor &uarch,
     // is re-estimated by a later window in which it has future
     // context, giving two-sided smoothing between observations.
     stride_ = std::max<std::size_t>(1, k_ / 2);
+    slots_.assign(k_, SliceMeasurements(events_.size()));
     series_.resize(events_.size());
+    if (config_.retainSlices > 0) {
+        // Rows trim at 2 x retainSlices and grow by at most a stride
+        // before the window that trims them, so they never reallocate.
+        for (auto &row : series_)
+            row.reserve(2 * config_.retainSlices + k_);
+    }
 }
 
 const SliceMeasurements &
 WindowedInference::slice(std::size_t t) const
 {
-    bp_assert(t >= bufferBase_ && t - bufferBase_ < buffer_.size(),
+    bp_assert(t >= nextStart_ && t < numSlices_,
               "slice " << t << " outside live window buffer");
-    return buffer_[t - bufferBase_];
+    return slots_[t % k_];
 }
 
 std::size_t
@@ -87,7 +94,9 @@ WindowedInference::push(const SliceMeasurements &slice)
     bp_assert(slice.size() == events_.size(),
               "slice carries " << slice.size() << " samples for "
                                << events_.size() << " events");
-    buffer_.push_back(slice);
+    // The slot's previous slice lies before nextStart_: no window
+    // reads it again.
+    slots_[numSlices_ % k_] = slice;
     ++numSlices_;
     for (auto &row : series_)
         row.emplace_back();
@@ -112,15 +121,11 @@ WindowedInference::finish()
         runWindow(std::min(k_, numSlices_ - nextStart_));
         ++ran;
     }
+    // The keep horizon only ever advances, so trimming to its final
+    // value leaves the rows a trim after every window would have.
+    if (config_.retainSlices > 0)
+        trimSeries();
     return ran;
-}
-
-PosteriorPoint
-WindowedInference::latest(std::size_t event_index) const
-{
-    bp_assert(event_index < events_.size(), "event index out of range");
-    bp_assert(coveredEnd_ > seriesBase_, "no slice inferred yet");
-    return series_[event_index][coveredEnd_ - 1 - seriesBase_];
 }
 
 bool
@@ -279,24 +284,10 @@ WindowedInference::runWindow(std::size_t w_len)
     }
 
     nextStart_ = w0 + stride_;
-    // Slices before the next window start can never be read again.
-    while (bufferBase_ < nextStart_ && !buffer_.empty()) {
-        buffer_.pop_front();
-        ++bufferBase_;
-    }
-
-    // Bounded retention: drop posterior rows older than the keep
-    // horizon, but never anything a future window may still rewrite.
-    if (config_.retainSlices > 0 && coveredEnd_ > config_.retainSlices) {
-        const std::size_t keep_from =
-            std::min(nextStart_, coveredEnd_ - config_.retainSlices);
-        if (keep_from > seriesBase_) {
-            const std::size_t drop = keep_from - seriesBase_;
-            for (auto &row : series_)
-                row.erase(row.begin(), row.begin() + drop);
-            seriesBase_ = keep_from;
-        }
-    }
+    // Amortized trim: one memmove per ~retainSlices slices.
+    if (config_.retainSlices > 0 &&
+        series_.front().size() >= 2 * config_.retainSlices)
+        trimSeries();
 
     const auto t_end = std::chrono::steady_clock::now();
     const double window_seconds =
@@ -335,6 +326,21 @@ WindowedInference::runWindow(std::size_t w_len)
         ep_window_ns.record(
             static_cast<std::uint64_t>(window_seconds * 1e9));
     }
+}
+
+void
+WindowedInference::trimSeries()
+{
+    if (coveredEnd_ <= config_.retainSlices)
+        return;
+    const std::size_t keep_from =
+        std::min(nextStart_, coveredEnd_ - config_.retainSlices);
+    if (keep_from <= seriesBase_)
+        return;
+    const std::size_t drop = keep_from - seriesBase_;
+    for (auto &row : series_)
+        row.erase(row.begin(), row.begin() + drop);
+    seriesBase_ = keep_from;
 }
 
 void

@@ -22,7 +22,6 @@
 #define BPERF_CORE_INFERENCE_H
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -58,10 +57,13 @@ struct InferenceConfig
     /**
      * Posterior history retained by the streaming engine, in slices;
      * 0 keeps the full series (batch replay, short sessions).  A
-     * bounded value caps a long-lived session's memory: the series
-     * then covers only the last retainSlices inferred slices (plus
-     * anything a future window may still rewrite), and results carry
-     * the index of their first retained slice.
+     * bounded value caps a long-lived session's memory: each row is
+     * reserved once at 2 x retainSlices + k entries and trimmed back
+     * only when it reaches 2 x retainSlices, so a window never pays
+     * for the trim.  After finish() the series covers the last
+     * retainSlices inferred slices (plus anything a future window
+     * could have rewritten), and results carry the index of their
+     * first retained slice.
      */
     std::size_t retainSlices = 0;
 };
@@ -159,9 +161,10 @@ using SliceMeasurements = std::vector<sim::SliceSample>;
  * Slices are pushed one at a time; whenever a full window of k slices
  * has accumulated past the next window start, EP runs eagerly and the
  * trailing posterior is carried forward as the next window's prior.
- * Only the slices the next window can still reach are retained, so
- * memory for measurements is O(k · events), independent of stream
- * length.  finish() drains the tail with the (possibly truncated)
+ * At most k slices are ever live, so measurements sit in k slots
+ * (slice t in slot t mod k) that every push copy-assigns in place:
+ * measurement memory is O(k · events) and a warm push allocates
+ * nothing.  finish() drains the tail with the (possibly truncated)
  * windows a batch run would produce.
  *
  * Not thread-safe: one streaming engine belongs to one session and is
@@ -209,14 +212,13 @@ class WindowedInference
 
     /** series()[i][t]: posterior of events()[i] at slice
      * firstRetainedSlice() + t; valid while that index is below
-     * slicesCovered(). */
+     * slicesCovered().  With bounded retention a row holds up to
+     * 2 x retainSlices + k entries mid-run (trims are amortized) and
+     * exactly the retained tail after finish(). */
     const std::vector<std::vector<PosteriorPoint>> &series() const
     {
         return series_;
     }
-
-    /** Most recent posterior of events()[event_index]. */
-    PosteriorPoint latest(std::size_t event_index) const;
 
     /**
      * Posterior summary at the most recent inferred slice: resizes
@@ -270,7 +272,11 @@ class WindowedInference
     /** Run one window of w_len slices starting at nextStart_. */
     void runWindow(std::size_t w_len);
 
-    /** Measurements of absolute slice t (t within the live buffer). */
+    /** Bounded retention: drop the posterior rows before the keep
+     * horizon, but never anything a future window may still rewrite. */
+    void trimSeries();
+
+    /** Measurements of absolute slice t (t within the live window). */
     const SliceMeasurements &slice(std::size_t t) const;
 
     const sim::MicroarchDescriptor &uarch_;
@@ -279,10 +285,9 @@ class WindowedInference
     std::size_t k_ = 0;      // window length, slices
     std::size_t stride_ = 0; // window start spacing
 
-    /** Live measurement buffer: absolute slices
-     * [bufferBase_, bufferBase_ + buffer_.size()). */
-    std::deque<SliceMeasurements> buffer_;
-    std::size_t bufferBase_ = 0;
+    /** Live measurements: slot t % k_ holds absolute slice t for
+     * t in [nextStart_, numSlices_). */
+    std::vector<SliceMeasurements> slots_;
 
     std::size_t numSlices_ = 0;  // total pushed
     std::size_t nextStart_ = 0;  // next window's first slice

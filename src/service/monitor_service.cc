@@ -290,13 +290,6 @@ MonitorService::monitoredEvents(SessionId id) const
     return session ? session->events() : std::vector<sim::EventId>{};
 }
 
-std::optional<core::PosteriorPoint>
-MonitorService::latest(SessionId id, sim::EventId event) const
-{
-    const std::shared_ptr<Session> session = registry_.find(id);
-    return session ? session->latest(event) : std::nullopt;
-}
-
 ServiceStats
 MonitorService::stats() const
 {

@@ -8,7 +8,8 @@
  *   producer -> SPSC ring (perf mmap semantics, drop-on-full)
  *            -> worker pool drain -> SliceAssembler
  *            -> WindowedInference (EP per window, carry-over priors)
- *            -> posterior series / latest-posterior snapshot
+ *            -> one WindowUpdate per window (snapshot shim,
+ *               subscriptions) / posterior series in the close report
  *
  * Scheduling: a session transitions Idle -> Queued when its producer
  * delivers records, is claimed Queued -> Running by exactly one
@@ -143,9 +144,13 @@ struct SessionReport
 /**
  * Concurrent multi-session BayesPerf monitoring service.
  *
- * Thread contract: open/close/stats/latest may be called from any
+ * Thread contract: open/close/stats/subscribe may be called from any
  * thread; ingest/ingestBatch for one session must come from a single
- * producer thread at a time (the SPSC ring's producer side).
+ * producer thread at a time (the SPSC ring's producer side).  Live
+ * posteriors are read through the snapshot shim (a
+ * shim::SnapshotReader over snapshotRegion(), or the named segment
+ * from another process) or pushed through subscribe(); the full
+ * series comes back from close().
  */
 class MonitorService
 {
@@ -205,11 +210,6 @@ class MonitorService
 
     /** Monitored events of a live session (empty if unknown). */
     std::vector<sim::EventId> monitoredEvents(SessionId id) const;
-
-    /** Latest posterior of one event of one session; nullopt before
-     * the first inferred window or for unknown ids/events. */
-    std::optional<core::PosteriorPoint> latest(SessionId id,
-                                               sim::EventId event) const;
 
     /** Block until every delivered record has been processed.  Safe
      * from any thread except a subscription callback (the dispatcher

@@ -70,6 +70,8 @@ Session::Session(SessionId id, const sim::MicroarchDescriptor &uarch,
       inference_(uarch, std::move(events), config.streaming),
       backend_(backend), windowSink_(std::move(window_sink))
 {
+    update_.sessionId = id_;
+    update_.events = inference_.events();
 }
 
 bool
@@ -105,10 +107,8 @@ Session::drain()
         // Publish per completed window, not per drain pass: a long
         // backlog drains in one pass, and pollers should see
         // posteriors as soon as the first window lands.
-        if (inference_.consume(*rec) > 0) {
-            publishPosteriors();
+        if (inference_.consume(*rec) > 0)
             harvestWindows(rec->ingestNanos, inference_.assembledNanos());
-        }
         ++drained;
     }
     publishStats(/*drain_pass=*/true);
@@ -118,11 +118,9 @@ Session::drain()
 void
 Session::finishStream()
 {
-    if (inference_.finish() > 0) {
-        publishPosteriors();
-        // Tail windows have no triggering record.
+    // Tail windows have no triggering record.
+    if (inference_.finish() > 0)
         harvestWindows(0, 0);
-    }
     publishStats(/*drain_pass=*/false);
 }
 
@@ -146,13 +144,8 @@ Session::harvestWindows(std::uint64_t ingest_nanos,
     // update of a multi-window harvest (rare: a drain crossing
     // several window boundaries in one record is impossible, but a
     // finish() tail can run two) share the final snapshot.
-    WindowUpdate update;
-    if (windowSink_ != nullptr) {
-        update.sessionId = id_;
-        update.events = inference_.events();
-        std::lock_guard<std::mutex> lock(publishMutex_);
-        update.posterior = latest_;
-    }
+    if (windowSink_ != nullptr)
+        inference_.engine().latestPosteriors(update_.posterior);
     for (const core::WindowRecord &window : windows_) {
         core::WindowJob job;
         job.sessionKey = id_;
@@ -180,21 +173,21 @@ Session::harvestWindows(std::uint64_t ingest_nanos,
             stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
         }
 
-        update.windowIndex = windowsReported_++;
+        update_.windowIndex = windowsReported_++;
         if (windowSink_ == nullptr)
             continue;
-        update.windowId = exec.windowOrdinal;
-        update.endSlice = exec.endSlice;
-        update.execution = exec;
+        update_.windowId = exec.windowOrdinal;
+        update_.endSlice = exec.endSlice;
+        update_.execution = exec;
         if (traced) {
-            update.execution.span.publishNanos = telemetry::nowNanos();
-            windowSink_(update);
+            update_.execution.span.publishNanos = telemetry::nowNanos();
+            windowSink_(update_);
             const std::uint64_t after = telemetry::nowNanos();
-            if (after > update.execution.span.publishNanos)
+            if (after > update_.execution.span.publishNanos)
                 publishFanoutHistogram().record(
-                    after - update.execution.span.publishNanos);
+                    after - update_.execution.span.publishNanos);
         } else {
-            windowSink_(update);
+            windowSink_(update_);
         }
     }
 }
@@ -218,29 +211,6 @@ Session::publishStats(bool drain_pass)
     stats_.windowsRun = engine.windowsRun();
     stats_.epSweeps = engine.epSweepsTotal();
     stats_.inferSeconds = engine.inferSeconds();
-}
-
-void
-Session::publishPosteriors()
-{
-    const auto &engine = inference_.engine();
-    std::lock_guard<std::mutex> lock(publishMutex_);
-    if (engine.latestPosteriors(latest_))
-        latestValid_ = true;
-}
-
-std::optional<core::PosteriorPoint>
-Session::latest(sim::EventId event) const
-{
-    std::lock_guard<std::mutex> lock(publishMutex_);
-    if (!latestValid_)
-        return std::nullopt;
-    const auto &events = inference_.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (events[i] == event)
-            return latest_[i];
-    }
-    return std::nullopt;
 }
 
 SessionStats

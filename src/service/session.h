@@ -15,8 +15,11 @@
  *   - exactly one producer thread calls offer();
  *   - exactly one worker at a time holds the session in Running state
  *     and calls drain()/finishStream() (the state machine enforces
- *     this — see SessionState);
- *   - any thread may read statsSnapshot() and latest().
+ *     this — see SessionState); it alone touches the engine and the
+ *     session's one WindowUpdate;
+ *   - any thread may read statsSnapshot().  Posteriors leave the
+ *     session only through the window sink (subscriptions, snapshot
+ *     shim) and the close report.
  */
 
 #ifndef BPERF_SERVICE_SESSION_H
@@ -26,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,13 +152,6 @@ class Session
     /** Take the full posterior result (close path, worker-held). */
     core::InferenceResult takeResult() { return inference_.takeResult(); }
 
-    /**
-     * Posterior of `event` at the most recent inferred slice, from
-     * the published snapshot; nullopt before the first window or for
-     * an unmonitored event.  Safe from any thread.
-     */
-    std::optional<core::PosteriorPoint> latest(sim::EventId event) const;
-
     /** Consistent statistics snapshot.  Safe from any thread. */
     SessionStats statsSnapshot() const;
 
@@ -165,7 +160,6 @@ class Session
     std::atomic<SessionState> state{SessionState::Idle};
 
   private:
-    void publishPosteriors();
     void publishStats(bool drain_pass);
     /** Dispatch, stamp, account and publish the windows just run;
      * the stamps are those of the record that completed them (0 for
@@ -186,11 +180,9 @@ class Session
     std::size_t releaseFloor_ = 0;
     /** Reused buffer for the engine's window records. */
     std::vector<core::WindowRecord> windows_;
-
-    /** Guards latest_ / latestValid_ (cross-thread posterior reads). */
-    mutable std::mutex publishMutex_;
-    std::vector<core::PosteriorPoint> latest_;
-    bool latestValid_ = false;
+    /** The one summary every window goes out as (session id and
+     * events set at construction; the rest refilled per window). */
+    WindowUpdate update_;
 
     /** Guards the worker-written statistics below. */
     mutable std::mutex statsMutex_;

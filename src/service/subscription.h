@@ -2,8 +2,8 @@
  * @file
  * Window-completion subscriptions: the push half of the service's
  * consumer surface (the paper's shim interface — consumers get
- * corrected posteriors as they are produced instead of polling
- * latest()).
+ * corrected posteriors as they are produced; the snapshot shim is the
+ * poll half).
  *
  * Workers publish one WindowUpdate per completed window into the
  * hub; a single dispatcher thread delivers them to the registered

@@ -500,39 +500,37 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     PosteriorSnapshot &snap = decodeScratch();
     std::atomic<std::size_t> &hint = state_->slotHint[session_id % slots_];
     const std::size_t hinted = hint.load(std::memory_order_relaxed);
-    if (hinted < slots_ &&
-        readSlotImpl(hinted, snap, max_retries) == ReadStatus::Ok &&
-        snap.sessionId == session_id) {
-        std::swap(out, snap);
-        countRead(ReadStatus::Ok);
-        return ReadStatus::Ok;
-    }
-    // No hint, or it went stale (the session moved or closed, or
-    // another id with the same residue was read since), or its slot
-    // is degraded: scan the table and refresh the hint.
     bool torn = false;
     bool writer_dead = false;
     bool corrupt = false;
-    for (std::size_t slot = 0; slot < slots_; ++slot) {
+    // Decodes one slot and folds its verdict in; true on an Ok read
+    // of this session.
+    const auto probe = [&](std::size_t slot) {
         switch (readSlotImpl(slot, snap, max_retries)) {
-          case ReadStatus::Ok:
-            if (snap.sessionId != session_id)
-                break;
+          case ReadStatus::Ok: return snap.sessionId == session_id;
+          case ReadStatus::NotFound: break;
+          case ReadStatus::Torn: torn = true; break;
+          case ReadStatus::WriterDead: writer_dead = true; break;
+          case ReadStatus::Corrupt: corrupt = true; break;
+        }
+        return false;
+    };
+    const auto found = [&] {
+        std::swap(out, snap);
+        countRead(ReadStatus::Ok);
+        return ReadStatus::Ok;
+    };
+    if (hinted < slots_ && probe(hinted))
+        return found();
+    // No hint, or it went stale (the session moved or closed, or
+    // another id with the same residue was read since), or its slot
+    // is degraded: scan the rest of the table and refresh the hint.
+    // The hinted slot keeps the verdict it just gave, so a slot held
+    // odd spins the retry budget once per read, not twice.
+    for (std::size_t slot = 0; slot < slots_; ++slot) {
+        if (slot != hinted && probe(slot)) {
             hint.store(slot, std::memory_order_relaxed);
-            std::swap(out, snap);
-            countRead(ReadStatus::Ok);
-            return ReadStatus::Ok;
-          case ReadStatus::NotFound:
-            break;
-          case ReadStatus::Torn:
-            torn = true;
-            break;
-          case ReadStatus::WriterDead:
-            writer_dead = true;
-            break;
-          case ReadStatus::Corrupt:
-            corrupt = true;
-            break;
+            return found();
         }
     }
     // A degraded slot could have been the session's; report the

@@ -236,7 +236,8 @@ class SnapshotReader
      * Copy the latest snapshot of `session_id` into `out`.  Decodes
      * the slot where this reader last found the session first; only a
      * missing, stale or degraded hint falls back to a scan of the
-     * slot table, which refreshes the hint.  Wait-free except for
+     * other slots, which refreshes the hint (each slot is decoded at
+     * most once per read).  Wait-free except for
      * seqlock retries, which are bounded by `max_retries`.  `out` is
      * written only on Ok; a caller that reuses it allocates nothing
      * per read in the steady state.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/linux_scaling.h"
+#include "counting_new.h"
 #include "core/bayesperf.h"
 #include "core/model_builder.h"
 #include "telemetry/telemetry.h"
@@ -309,10 +310,12 @@ TEST(WindowedInference, CountsUnconvergedWindows)
     telemetry::setEnabled(was_enabled);
 }
 
-/** The 13-event round-robin stream (48 slices) of one HiBench
- * workload that the long-chain and convergence tests run. */
+/** The 13-event round-robin stream (48 slices unless asked for more)
+ * of one HiBench workload that the long-chain, convergence and
+ * allocation tests run. */
 sim::PerfResult
-thirteenEventRun(const sim::MicroarchDescriptor &uarch, const char *workload)
+thirteenEventRun(const sim::MicroarchDescriptor &uarch, const char *workload,
+                 std::size_t num_slices = 48)
 {
     std::vector<EventId> events = uarch.fixedEvents();
     for (Role r : {Role::LlcMiss, Role::L2Miss, Role::L1DMiss, Role::Loads,
@@ -321,7 +324,7 @@ thirteenEventRun(const sim::MicroarchDescriptor &uarch, const char *workload)
         events.push_back(uarch.idForRole(r));
     EXPECT_EQ(events.size(), 13u);
     const sim::GroundTruthGenerator gen(uarch, wl::makeHibench(workload));
-    const sim::TruthTrace truth = gen.generate(48, 5);
+    const sim::TruthTrace truth = gen.generate(num_slices, 5);
     sim::PerfSessionConfig perf_cfg;
     perf_cfg.seed = 17;
     sim::PerfSession perf(uarch, perf_cfg);
@@ -395,6 +398,54 @@ TEST(WindowedInference, DefaultEpConvergesOnThirteenEventWindows)
             << workload;
     }
     telemetry::setEnabled(was_enabled);
+}
+
+TEST(WindowedInference, WarmPushAllocatesNothing)
+{
+    // Counts every heap allocation, not only the buffers the growth
+    // counters watch.  A session's engine, once warm, copies each
+    // slice into its slot, runs EP, writes the posterior rows, trims
+    // the bounded history and hands its window records to a reused
+    // buffer without allocating.
+    constexpr std::size_t kWarm = 96, kCounted = 400;
+    const auto uarch = sim::makeX86Skylake();
+    const sim::PerfResult run =
+        thirteenEventRun(uarch, "KMeans", kWarm + kCounted);
+    std::vector<SliceMeasurements> slices(
+        kWarm + kCounted, SliceMeasurements(run.monitored.size()));
+    for (std::size_t t = 0; t < slices.size(); ++t)
+        for (std::size_t i = 0; i < run.monitored.size(); ++i)
+            slices[t][i] = run.traces[i].slices[t];
+
+    InferenceConfig cfg;
+    cfg.windowSlices = 6;
+    cfg.retainSlices = 16;
+    WindowedInference engine(uarch, run.monitored, cfg,
+                             run.schedule.size());
+    std::vector<WindowRecord> windows;
+    for (std::size_t t = 0; t < kWarm; ++t) {
+        engine.push(slices[t]);
+        engine.takeWindows(windows);
+    }
+    const std::size_t windows_warm = engine.windowsRun();
+    const std::size_t base_warm = engine.firstRetainedSlice();
+    const std::uint64_t before =
+        gOperatorNewCalls.load(std::memory_order_relaxed);
+    for (std::size_t t = kWarm; t < slices.size(); ++t) {
+        engine.push(slices[t]);
+        engine.takeWindows(windows);
+    }
+    const std::uint64_t allocations =
+        gOperatorNewCalls.load(std::memory_order_relaxed) - before;
+
+    EXPECT_EQ(allocations, 0u);
+    // The counted pushes ran windows and trimmed the history many
+    // times over.
+    EXPECT_GE(engine.windowsRun() - windows_warm, kCounted / 3);
+    EXPECT_GE(engine.firstRetainedSlice() - base_warm,
+              kCounted - 2 * cfg.retainSlices);
+    EXPECT_LE(engine.series().front().size(),
+              2 * cfg.retainSlices + engine.windowSlices());
 }
 
 TEST(Inference, SessionRequiresOpen)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "service/monitor_service.h"
 #include "service/record_stream.h"
 #include "service/slice_assembler.h"
+#include "shim/snapshot_reader.h"
 #include "sim/ground_truth.h"
 #include "workloads/hibench.h"
 
@@ -188,44 +191,79 @@ TEST(WindowedInference, SteadyStateWindowsReuseEpWorkspace)
     EXPECT_EQ(batch.epWorkspaceAllocations, warm_allocs);
 }
 
+/** Bit pattern of a posterior value (equality without tolerance). */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** The first slice a bounded-retention result keeps: the last
+ * retain_slices slices, but nothing the last window's successor could
+ * still have rewritten (window starts advance by k / 2 until one
+ * window covers the tail). */
+std::size_t
+retainedFrom(std::size_t num_slices, std::size_t k, std::size_t retain_slices)
+{
+    const std::size_t stride = k / 2;
+    std::size_t last_start = 0;
+    while (last_start + k < num_slices)
+        last_start += stride;
+    return std::min(last_start + stride, num_slices - retain_slices);
+}
+
 TEST(WindowedInference, BoundedRetentionKeepsMatchingTail)
 {
+    // Streams of at least 10 x retainSlices slices, so the history is
+    // trimmed many times.  At retainSlices 2 the keep horizon is the
+    // next window start; at 8 it is the last retainSlices slices.
     const auto monitored = monitoredSet();
-    const auto run = measuredRun(monitored, 24, 303);
+    for (const auto &[retain, num_slices] :
+         {std::pair<std::size_t, std::size_t>{8, 85}, {2, 84}}) {
+        SCOPED_TRACE(testing::Message() << "retainSlices " << retain
+                                        << ", " << num_slices << " slices");
+        const auto run = measuredRun(monitored, num_slices, 303);
+        core::InferenceEngine engine(uarch(), testInference());
+        const core::InferenceResult batch = engine.infer(run);
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
-
-    core::InferenceConfig bounded = testInference();
-    bounded.retainSlices = 8;
-    core::WindowedInference streaming(uarch(), monitored, bounded,
-                                      run.schedule.size());
-    core::SliceMeasurements slice(monitored.size());
-    for (std::size_t t = 0; t < 24; ++t) {
-        for (std::size_t i = 0; i < monitored.size(); ++i)
-            slice[i] = run.traces[i].slices[t];
-        streaming.push(slice);
-    }
-    streaming.finish();
-
-    // Only the tail is retained, and retention must not perturb the
-    // inference itself: retained posteriors equal the full batch run.
-    const std::size_t base = streaming.firstRetainedSlice();
-    EXPECT_GE(base, 24u - 8 - streaming.windowSlices());
-    EXPECT_LE(24u - base, 8u + streaming.windowSlices());
-    for (std::size_t i = 0; i < monitored.size(); ++i) {
-        ASSERT_EQ(streaming.series()[i].size(), 24u - base);
-        for (std::size_t t = base; t < 24; ++t) {
-            EXPECT_DOUBLE_EQ(streaming.series()[i][t - base].mean,
-                             batch.series[i][t].mean);
+        core::InferenceConfig bounded = testInference();
+        bounded.retainSlices = retain;
+        core::WindowedInference streaming(uarch(), monitored, bounded,
+                                          run.schedule.size());
+        const std::size_t k = streaming.windowSlices();
+        core::SliceMeasurements slice(monitored.size());
+        for (std::size_t t = 0; t < num_slices; ++t) {
+            for (std::size_t i = 0; i < monitored.size(); ++i)
+                slice[i] = run.traces[i].slices[t];
+            streaming.push(slice);
+            // Mid-run the rows trim only on reaching 2 x retainSlices.
+            EXPECT_LE(streaming.series().front().size(), 2 * retain + k);
         }
-        EXPECT_DOUBLE_EQ(streaming.latest(i).mean,
-                         batch.series[i][23].mean);
-    }
+        streaming.finish();
 
-    core::InferenceResult result = streaming.takeResult();
-    EXPECT_EQ(result.firstSlice, base);
-    EXPECT_EQ(result.series.front().size(), 24u - base);
+        // Retention must not perturb the inference itself: every
+        // retained posterior equals the full batch run bit for bit.
+        const std::size_t base = streaming.firstRetainedSlice();
+        EXPECT_EQ(base, retainedFrom(num_slices, k, retain));
+        for (std::size_t i = 0; i < monitored.size(); ++i) {
+            ASSERT_EQ(streaming.series()[i].size(), num_slices - base);
+            for (std::size_t t = base; t < num_slices; ++t) {
+                EXPECT_EQ(bits(streaming.series()[i][t - base].mean),
+                          bits(batch.series[i][t].mean));
+                EXPECT_EQ(bits(streaming.series()[i][t - base].stddev),
+                          bits(batch.series[i][t].stddev));
+            }
+        }
+        std::vector<core::PosteriorPoint> latest;
+        ASSERT_TRUE(streaming.latestPosteriors(latest));
+        for (std::size_t i = 0; i < monitored.size(); ++i)
+            EXPECT_EQ(bits(latest[i].mean),
+                      bits(batch.series[i][num_slices - 1].mean));
+
+        core::InferenceResult result = streaming.takeResult();
+        EXPECT_EQ(result.firstSlice, base);
+        EXPECT_EQ(result.series.front().size(), num_slices - base);
+    }
 }
 
 TEST(MonitorService, StreamingMatchesBatchThroughDaemon)
@@ -563,11 +601,62 @@ TEST(MonitorService, MalformedRecordsAreRejectedPerSession)
     }
 }
 
+TEST(MonitorService, SmallRetentionCapReportsUnboundedTail)
+{
+    // One record stream into two sessions of one daemon: one capped at
+    // 16 retained slices through its SessionConfig override, one
+    // unbounded.  The capped close report is the unbounded one's tail,
+    // bit for bit, after many trims.
+    constexpr std::size_t kSlices = 200, kRetain = 16;
+    MonitorServiceConfig cfg;
+    cfg.numWorkers = 2;
+    cfg.sessionDefaults.streaming.inference = testInference();
+    // Room for the whole stream: a drop would desynchronize the pair.
+    cfg.sessionDefaults.queueCapacity = 1 << 14;
+    MonitorService daemon(uarch(), cfg);
+
+    SessionConfig capped_cfg = cfg.sessionDefaults;
+    capped_cfg.streaming.inference.retainSlices = kRetain;
+    const SessionId capped = daemon.open(monitoredSet(), &capped_cfg);
+    const SessionId unbounded = daemon.open(monitoredSet());
+    const auto run =
+        measuredRun(daemon.monitoredEvents(capped), kSlices, 909);
+    for (std::size_t t = 0; t < kSlices; ++t) {
+        const auto records = sliceRecords(run, t);
+        daemon.ingestBatch(capped, records);
+        daemon.ingestBatch(unbounded, records);
+    }
+    const auto tail = daemon.close(capped);
+    const auto full = daemon.close(unbounded);
+    ASSERT_TRUE(tail.has_value() && full.has_value());
+
+    EXPECT_EQ(tail->stats.recordsDropped, 0u);
+    EXPECT_EQ(full->stats.recordsDropped, 0u);
+    EXPECT_EQ(tail->stats.windowsRun, full->stats.windowsRun);
+    EXPECT_EQ(tail->posterior.epSweepsTotal, full->posterior.epSweepsTotal);
+    EXPECT_EQ(full->posterior.firstSlice, 0u);
+    const std::size_t base = tail->posterior.firstSlice;
+    EXPECT_EQ(base, retainedFrom(kSlices, testInference().windowSlices,
+                                 kRetain));
+    ASSERT_EQ(tail->posterior.series.size(), full->posterior.series.size());
+    for (std::size_t i = 0; i < full->posterior.series.size(); ++i) {
+        const auto &want = full->posterior.series[i];
+        const auto &got = tail->posterior.series[i];
+        ASSERT_EQ(want.size(), kSlices);
+        ASSERT_EQ(got.size(), kSlices - base);
+        for (std::size_t t = base; t < kSlices; ++t) {
+            EXPECT_EQ(bits(got[t - base].mean), bits(want[t].mean));
+            EXPECT_EQ(bits(got[t - base].stddev), bits(want[t].stddev));
+        }
+    }
+}
+
 TEST(MonitorService, ConcurrentSessionsStreamConcurrently)
 {
     MonitorServiceConfig cfg;
     cfg.numWorkers = 4;
     cfg.sessionDefaults.streaming.inference = testInference();
+    cfg.snapshot.enabled = true; // in-process posterior reads
     MonitorService daemon(uarch(), cfg);
 
     constexpr std::size_t kSessions = 6;
@@ -599,11 +688,18 @@ TEST(MonitorService, ConcurrentSessionsStreamConcurrently)
     EXPECT_EQ(mid.totals.slicesAssembled, kSessions * (kSlices - 1));
     EXPECT_GT(mid.totals.windowsRun, 0u);
 
+    // Every session's latest window posterior is readable through the
+    // snapshot shim.
     const sim::EventId llc = uarch().idForRole(sim::Role::LlcMiss);
+    const shim::SnapshotReader reader(*daemon.snapshotRegion());
+    shim::PosteriorSnapshot snap;
     for (SessionId id : ids) {
-        const auto point = daemon.latest(id, llc);
-        ASSERT_TRUE(point.has_value());
-        EXPECT_GT(point->stddev, 0.0);
+        ASSERT_EQ(reader.read(id, snap), shim::ReadStatus::Ok);
+        const auto point = std::find_if(
+            snap.counters.begin(), snap.counters.end(),
+            [llc](const shim::SnapshotCounter &c) { return c.event == llc; });
+        ASSERT_NE(point, snap.counters.end());
+        EXPECT_GT(point->posterior.stddev, 0.0);
     }
 
     for (SessionId id : ids) {

@@ -4,8 +4,9 @@
  * the heartbeat (a stalled live writer reads Torn, a silent one
  * WriterDead), readers attaching before the first
  * publish, slot invalidation on session close, the reader's
- * session -> slot hint (moved and colliding sessions, two threads on
- * one reader), failed reads leaving `out` untouched, zero allocations
+ * session -> slot hint (moved and colliding sessions, a torn hinted
+ * slot spun once per read, two threads on one reader), failed reads
+ * leaving `out` untouched, zero allocations
  * per steady-state read, the service publisher
  * mirroring the subscription stream bit for bit, and cross-process
  * reads through a forked child attached to a named POSIX shm
@@ -20,14 +21,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "counting_new.h"
 #include "service/monitor_service.h"
 #include "service/record_stream.h"
 #include "shim/snapshot_reader.h"
@@ -43,31 +43,6 @@
 #define BPERF_TSAN 1
 #endif
 #endif
-
-/** Every global operator new call in this test binary, so a test can
- * assert that a code path allocates nothing. */
-static std::atomic<std::uint64_t> gOperatorNewCalls{0};
-
-void *
-operator new(std::size_t size)
-{
-    gOperatorNewCalls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace bperf {
 namespace shim {
@@ -735,21 +710,63 @@ TEST(SnapshotReader, SessionMovedToAnotherSlotIsStillFound)
     ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
     EXPECT_EQ(decodes, 1u) << "a hinted read decodes one slot";
 
-    // The session moves from slot 1 to slot 3: the stale hint costs
-    // one extra decode, the scan finds it, and the refreshed hint
-    // makes the next read one decode again.
+    // The session moves from slot 1 to slot 3: the scan skips the
+    // stale hinted slot it already decoded, so the read decodes each
+    // slot once, and the refreshed hint makes the next read one
+    // decode again.
     region.invalidate(1);
     publishTagged(region, 3, /*session=*/7, /*window=*/2);
     decodes = 0;
     ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
     EXPECT_TRUE(isTagged(out, 7));
     EXPECT_EQ(out.windowIndex, 2u);
-    EXPECT_EQ(decodes, 1u + region.slots());
+    EXPECT_EQ(decodes, region.slots());
     decodes = 0;
     ASSERT_EQ(reader.read(7, out), ReadStatus::Ok);
     EXPECT_EQ(out.windowIndex, 2u);
     EXPECT_EQ(decodes, 1u);
     EXPECT_EQ(reader.stats().okReads, 4u);
+}
+
+TEST(SnapshotReader, TornHintedSlotSpinsItsBudgetOnce)
+{
+    // A live writer stalled mid-publish in the hinted slot: the slot
+    // stays odd under a fresh heartbeat.  One by-session read spins
+    // the retry budget on it once (max_retries + 1 attempts), decodes
+    // every other slot once, and reports Torn with `out` untouched.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    publishTagged(region, 0, /*session=*/1, /*window=*/1);
+    publishTagged(region, 2, /*session=*/6, /*window=*/1);
+    publishTagged(region, 3, /*session=*/4, /*window=*/1);
+    SnapshotReader reader(region);
+    PosteriorSnapshot out;
+    ASSERT_EQ(reader.read(6, out), ReadStatus::Ok); // hint: slot 2
+
+    auto *stalled = slotAt(const_cast<std::byte *>(region.base()),
+                           region.layout(), 2);
+    const std::uint64_t stable = stalled->seq.load(std::memory_order_relaxed);
+    stalled->seq.store(stable + 1, std::memory_order_release);
+    region.heartbeat(steadyNowNanos());
+    std::size_t decodes = 0, retries = 0;
+    reader.setRetryProbe([&](std::size_t attempt) {
+        ++(attempt == 0 ? decodes : retries);
+    });
+    constexpr std::size_t kMaxRetries = 16;
+    out = sentinelSnapshot();
+    EXPECT_EQ(reader.read(6, out, kMaxRetries), ReadStatus::Torn);
+    EXPECT_EQ(retries, kMaxRetries);
+    EXPECT_EQ(decodes, region.slots());
+    EXPECT_EQ(fieldBits(out), fieldBits(sentinelSnapshot()));
+    EXPECT_EQ(reader.stats().tornReads, 1u);
+    EXPECT_EQ(reader.stats().quarantinedSlots, 0u);
+
+    // The writer closes its publish: the hint still holds, one decode.
+    stalled->seq.store(stable, std::memory_order_release);
+    decodes = retries = 0;
+    ASSERT_EQ(reader.read(6, out, kMaxRetries), ReadStatus::Ok);
+    EXPECT_TRUE(isTagged(out, 6));
+    EXPECT_EQ(decodes, 1u);
+    EXPECT_EQ(retries, 0u);
 }
 
 TEST(SnapshotReader, CollidingHintIdsEachReadTheirOwnPayload)
